@@ -124,18 +124,22 @@ let key_of_config ~symmetric (config : 'a Config.t) =
     config.Config.objects;
   { Key.hash = !h; objs = config.Config.objects; fps }
 
-(* The DFS engine, parameterized by an execution prefix (the reversed
-   (pid, coin-outcome) choice path [rev_choices] from [replay_root] and the
-   [decisions] visible so far) so that the same code serves both the
-   whole-tree search ([search], empty prefix) and the per-subtree tasks of
-   the partitioned search ([search_par], prefix = the root step leading
-   into the subtree).  [max_depth_seen] and depth bounds are relative to
-   the given root configuration.
+(* Re-execute a root-to-node choice path with full event collection: the
+   witness of a violation found at its end. *)
+let witness root kind path =
+  let rec replay config rev_events = function
+    | [] -> (config, List.rev rev_events)
+    | (pid, outcome) :: rest ->
+        let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
+        replay config' (List.rev_append events rev_events) rest
+  in
+  let config, trace = replay root [] path in
+  { kind; trace; config }
 
-   Witness traces are *lazy*: the DFS records only the choice path and
-   re-executes it from [replay_root] (with full event collection) when a
-   violation is actually found — the violation-free tree never allocates
-   events or trace segments.
+(* The closure DFS engine.  Witness traces are *lazy*: the DFS records
+   only the choice path and re-executes it ([witness]) when a violation
+   is actually found — the violation-free tree never allocates events or
+   trace segments.
 
    Resource governance: [~budget] meters node entries.  The meter is
    consulted *before* a node is counted, so a tripped node is exactly the
@@ -159,8 +163,7 @@ let key_of_config ~symmetric (config : 'a Config.t) =
    resumed run is bit-identical to an uninterrupted one, pinned by
    [test_checkpoint]). *)
 let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
-    ~max_depth ~max_states ~inputs ~replay_root ~rev_choices ~decisions config
-    =
+    ~max_depth ~max_states ~inputs config =
   let resume = match resume with None -> Checkpoint.empty | Some s -> s in
   let visited = ref resume.Checkpoint.visited in
   let leaves = ref resume.Checkpoint.leaves in
@@ -203,27 +206,18 @@ let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
     match dedup with `Off -> None | `Exact | `Symmetric -> Some (Tbl.create 1024)
   in
   let symmetric = dedup = `Symmetric in
-  let rebuild_trace rev_choices =
-    let rec replay config rev_events = function
-      | [] -> List.rev rev_events
-      | (pid, outcome) :: rest ->
-          let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
-          replay config' (List.rev_append events rev_events) rest
-    in
-    replay replay_root [] (List.rev rev_choices)
-  in
-  let stop kind config rev_choices =
-    found := Some { kind; trace = rebuild_trace rev_choices; config };
+  let stop kind rev_choices =
+    found := Some (witness config kind (List.rev rev_choices));
     raise Stop
   in
-  (* the prefix's decisions (processes may decide without taking a single
-     step in this subtree) participate in the verdicts; also seeds the
+  (* the root's decisions (processes may decide without taking a single
+     step) participate in the verdicts; also seeds the
      distinct-decided-values accumulator for the incremental path checks *)
   let check_prefix () =
-    let values = List.sort_uniq compare decisions in
-    if List.length values > 1 then stop `Inconsistent config rev_choices
+    let values = List.sort_uniq compare (Config.decisions config) in
+    if List.length values > 1 then stop `Inconsistent []
     else if not (List.for_all (fun v -> List.mem v inputs) values) then
-      stop `Invalid config rev_choices;
+      stop `Invalid [];
     values
   in
   let rec go config rev_choices distinct depth resuming =
@@ -317,8 +311,8 @@ let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
       | None -> distinct
       | Some v ->
           if List.mem v distinct then distinct
-          else if distinct <> [] then stop `Inconsistent config' rev_choices'
-          else if not (List.mem v inputs) then stop `Invalid config' rev_choices'
+          else if distinct <> [] then stop `Inconsistent rev_choices'
+          else if not (List.mem v inputs) then stop `Invalid rev_choices'
           else v :: distinct
     in
     go config' rev_choices' distinct' (depth + 1) resuming
@@ -326,16 +320,14 @@ let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
   let tripped = ref None in
   (try
      let distinct = check_prefix () in
-     go config rev_choices distinct 0 resume.Checkpoint.path
+     go config [] distinct 0 resume.Checkpoint.path
    with
   | Stop -> ()
   | Budget_stop (r, cursor) ->
       tripped := Some r;
       (* the cursor node is uncounted, so this state resumes exactly there *)
       Option.iter (fun f -> f (mk_state cursor)) on_checkpoint);
-  (match (polls, meter) with
-  | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
-  | _ -> ());
+  Option.iter (fun m -> polls := !polls + Robust.Budget.Meter.polls m) meter;
   let completeness =
     match (!tripped, !first_reason) with
     | Some r, _ -> `Truncated r
@@ -357,115 +349,6 @@ let search_from ~polls ~budget ~checkpoint_every ~on_checkpoint ~resume ~dedup
 
 type state = [ `Closure | `Flat ]
 
-(* Arena-backed transposition table for the flat DFS: keys are slab
-   slices (object value ids then state ids, the sid slice sorted under
-   [`Symmetric]) stored *contiguously* in one growable int arena —
-   entry layout [meta; slot_0 .. slot_{width-1}] — and addressed by an
-   open-addressing index of interleaved (hash, arena offset) pairs.
-
-   [meta] packs the closure table's entry record into one int:
-   [(stored_remaining_depth + 1) lsl 1 lor complete].  A lookup costs
-   two cache lines (index pair, then the entry's slots for the exact
-   compare — hash equality is never trusted); an insert blits the
-   scratch key into the arena tail.  Nothing in here is a GC object, so
-   million-entry sweeps neither allocate per node nor grow major-heap
-   mark work — the boxed [Hashtbl] + per-miss key snapshots this
-   replaces dominated deep dedup'd sweeps in both engines.
-
-   Entries are copies *by construction* (the insert blit), which is the
-   flat engine's answer to the key-immutability hazard of sharing live
-   arrays (see [key_of_config]'s snapshot discipline for the closure
-   table). *)
-module Atbl = struct
-  type t = {
-    width : int;  (** slots per key *)
-    mutable arena : int array;  (** entries: [meta; slots^width] *)
-    mutable n : int;  (** arena fill pointer *)
-    mutable idx : int array;
-        (** interleaved [hash; offset] pairs, offset -1 = empty *)
-    mutable mask : int;  (** index capacity - 1 *)
-    mutable shift : int;  (** 63 - log2 of index capacity *)
-    mutable size : int;
-  }
-
-  let fib = 0x1E3779B97F4A7C15
-
-  let create ~width =
-    let bits = 10 in
-    let cap = 1 lsl bits in
-    {
-      width;
-      arena = Array.make (cap * (width + 1)) 0;
-      n = 0;
-      idx = Array.make (2 * cap) (-1);
-      mask = cap - 1;
-      shift = 63 - bits;
-      size = 0;
-    }
-
-  (* toplevel recursions: local [let rec]s here would allocate closures
-     on every lookup *)
-  let rec eq_slots arena o (key : int array) i =
-    i < 0
-    || Array.unsafe_get arena (o + i) = Array.unsafe_get key i
-       && eq_slots arena o key (i - 1)
-
-  let rec probe t hash (key : int array) i =
-    let o = Array.unsafe_get t.idx ((2 * i) + 1) in
-    if o = -1 then -1
-    else if
-      Array.unsafe_get t.idx (2 * i) = hash
-      && eq_slots t.arena (o + 1) key (t.width - 1)
-    then o
-    else probe t hash key ((i + 1) land t.mask)
-
-  (* arena offset of the entry (its meta word), or -1 *)
-  let find t ~hash key = probe t hash key ((hash * fib) lsr t.shift)
-
-  let meta t o = Array.unsafe_get t.arena o
-  let set_meta t o m = Array.unsafe_set t.arena o m
-
-  let rec ins_slot t i =
-    if Array.unsafe_get t.idx ((2 * i) + 1) = -1 then i
-    else ins_slot t ((i + 1) land t.mask)
-
-  let grow_index t =
-    let old = t.idx in
-    let cap = t.mask + 1 in
-    t.idx <- Array.make (4 * cap) (-1);
-    t.mask <- (2 * cap) - 1;
-    t.shift <- t.shift - 1;
-    for i = 0 to cap - 1 do
-      let o = old.((2 * i) + 1) in
-      if o >= 0 then begin
-        let h = old.(2 * i) in
-        let j = ins_slot t ((h * fib) lsr t.shift) in
-        t.idx.(2 * j) <- h;
-        t.idx.((2 * j) + 1) <- o
-      end
-    done
-
-  (* Append a fresh entry (meta 0 = "in progress": stored depth -1,
-     incomplete) and index it; returns its arena offset. *)
-  let insert t ~hash key =
-    if 2 * (t.size + 1) > t.mask + 1 then grow_index t;
-    let w = t.width + 1 in
-    if t.n + w > Array.length t.arena then begin
-      let arena = Array.make (2 * Array.length t.arena) 0 in
-      Array.blit t.arena 0 arena 0 t.n;
-      t.arena <- arena
-    end;
-    let o = t.n in
-    t.arena.(o) <- 0;
-    Array.blit key 0 t.arena (o + 1) t.width;
-    t.n <- o + w;
-    let i = ins_slot t ((hash * fib) lsr t.shift) in
-    t.idx.(2 * i) <- hash;
-    t.idx.((2 * i) + 1) <- o;
-    t.size <- t.size + 1;
-    o
-end
-
 (* The flat-slab DFS: identical traversal order, counter accounting, and
    budget metering as [search_from], over a {!Sim.Flat} slab mutated in
    place.  Stepping into a child saves the overwritten slot ids in locals
@@ -484,13 +367,13 @@ end
    write the final (depth, complete) meta without re-probing.
 
    Witnesses stay engine-independent: on a violation the recorded choice
-   path is replayed from [replay_root] with the *closure* engine, so the
+   path is replayed with the *closure* engine ([witness]), so the
    reported trace and configuration are bit-identical to [search_from]'s.
 
    Checkpointing is not offered here (the closure engine remains the
    checkpoint/resume path); a budget trip just reports its reason. *)
 let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
-    ~replay_root ~rev_choices ~decisions config =
+    config =
   let visited = ref 0 in
   let leaves = ref 0 in
   let table_hits = ref 0 in
@@ -523,7 +406,7 @@ let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
   let table =
     match dedup with
     | `Off -> None
-    | `Exact | `Symmetric -> Some (Atbl.create ~width)
+    | `Exact | `Symmetric -> Some (Atbl.create ~width ())
   in
   (* one reused scratch key per search: the slab slice, with the sid
      slice insertion-sorted in place under [`Symmetric] (n_procs is
@@ -544,37 +427,21 @@ let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
   in
   (* The root-to-cursor choice path lives in two depth-indexed int arrays
      instead of cons cells: the violation-free DFS allocates nothing per
-     node.  [rev_choices] (the caller's prefix, used by [search_par]
-     subtree tasks) is prepended only when a witness is materialized. *)
+     node. *)
   let path_pid = Array.make (max max_depth 1) 0 in
   let path_out = Array.make (max max_depth 1) 0 in
-  let choices_to ~depth =
-    let rec collect acc d =
-      if d < 0 then acc
-      else collect ((path_pid.(d), path_out.(d)) :: acc) (d - 1)
-    in
-    List.rev_append (collect [] (depth - 1)) rev_choices
-  in
-  let rebuild rev_choices =
-    let rec replay config rev_events = function
-      | [] -> (config, List.rev rev_events)
-      | (pid, outcome) :: rest ->
-          let config', events = Run.step config ~pid ~coin:(fun _ -> outcome) in
-          replay config' (List.rev_append events rev_events) rest
-    in
-    replay replay_root [] (List.rev rev_choices)
-  in
-  let stop kind rev_choices =
-    let config, trace = rebuild rev_choices in
-    found := Some { kind; trace; config };
+  let stop kind path =
+    found := Some (witness config kind path);
     raise Stop
   in
-  let stop_at kind ~depth = stop kind (choices_to ~depth) in
+  let stop_at kind ~depth =
+    stop kind (List.init depth (fun d -> (path_pid.(d), path_out.(d))))
+  in
   let check_prefix () =
-    let values = List.sort_uniq compare decisions in
-    if List.length values > 1 then stop `Inconsistent rev_choices
+    let values = List.sort_uniq compare (Config.decisions config) in
+    if List.length values > 1 then stop `Inconsistent []
     else if not (List.for_all (fun v -> List.mem v inputs) values) then
-      stop `Invalid rev_choices;
+      stop `Invalid [];
     values
   in
   let rec go distinct depth =
@@ -675,9 +542,7 @@ let search_from_flat ~polls ~budget ~dedup ~max_depth ~max_states ~inputs
    with
   | Stop -> ()
   | Budget_stop r -> tripped := Some r);
-  (match (polls, meter) with
-  | Some acc, Some m -> acc := !acc + Robust.Budget.Meter.polls m
-  | _ -> ());
+  Option.iter (fun m -> polls := !polls + Robust.Budget.Meter.polls m) meter;
   let completeness =
     match (!tripped, !first_reason) with
     | Some r, _ -> `Truncated r
@@ -723,231 +588,14 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
   in
   let r =
     if use_flat then
-      search_from_flat ~polls:(Some polls) ~budget ~dedup ~max_depth
-        ~max_states ~inputs ~replay_root:config ~rev_choices:[]
-        ~decisions:(Config.decisions config) config
+      search_from_flat ~polls ~budget ~dedup ~max_depth
+        ~max_states ~inputs config
     else
-      search_from ~polls:(Some polls) ~budget ~checkpoint_every ~on_checkpoint
-        ~resume ~dedup ~max_depth ~max_states ~inputs ~replay_root:config
-        ~rev_choices:[] ~decisions:(Config.decisions config) config
+      search_from ~polls ~budget ~checkpoint_every ~on_checkpoint
+        ~resume ~dedup ~max_depth ~max_states ~inputs config
   in
   Obs.add obs "budget/polls" !polls;
   record_result obs r
-
-(* Partitioned search: the root's successor configurations — one task per
-   (enabled pid, coin outcome), in the sequential traversal order — are
-   explored as independent bounded DFS runs across the pool's domains,
-   and their [result] records merged in task order.
-
-   Merge semantics, field by field (root contributes the "1 +" / "+ 1"):
-   - [visited]   = 1 + sum of subtree visits;
-   - [leaves]    = sum of subtree leaves (the root itself is the only
-                   leaf when nothing is enabled, handled before
-                   partitioning);
-   - [max_depth_seen] = 1 + max over subtrees (each task measures depth
-                   relative to its subtree root, which sits at depth 1);
-   - [truncated] = any subtree truncated, or the merged visit count
-                   exceeds [max_states];
-   - [table_hits] = sum of subtree hits (with [~dedup] each task owns a
-                   private transposition table — domains share nothing —
-                   so the counts differ from the sequential [search]'s
-                   single shared table, deterministically);
-   - [violation] = the first violating subtree in task order; within a
-                   subtree the DFS finds its first violation in the same
-                   order as the sequential search, so the reported
-                   witness is exactly [search]'s.
-
-   The merge is a pure fold over deterministic per-task results, so the
-   outcome is bit-identical for any [?pool] (including [None]).  On
-   violation-free trees whose state budget is not the binding constraint,
-   every field except [table_hits] equals the sequential [search]'s under
-   [`Off] (pinned by the determinism test suite); when a violation exists,
-   [search] stops at first blood while the partitioned runs still finish
-   their subtrees, so the merged statistics deterministically cover more
-   of the tree.
-
-   Budgets: a *node* budget must stay bit-deterministic under any job
-   count, which a naive per-task split cannot deliver (how many nodes the
-   sequential run spends in subtree [i] depends on subtrees [0..i-1]).
-   The partitioned run therefore *speculates*: every task runs with the
-   full allowance in parallel, and a sequential validation fold then
-   replays the accounting of the sequential search — thread the remaining
-   allowance through the tasks in order; a task whose speculative result
-   could not have come from the sequential prefix (it visited more than
-   the allowance that remains, or it tripped) is re-run on the caller
-   with exactly the remaining allowance.  DFS is deterministic, so a
-   budgeted run visits precisely the first [k] preorder nodes of its
-   subtree — the re-run reproduces the sequential frontier bit for bit,
-   and tasks past a hard trip are discarded just as the sequential search
-   never reached them.  Wasted speculative work costs wall-clock only,
-   never affects the result.  Deadline/cancellation budgets make no
-   determinism promise; they are simply threaded into every task (which
-   shares the absolute deadline), and a set cancellation token
-   additionally stops the pool from claiming further chunks. *)
-let search_par ?obs ?pool ?budget ?(dedup = `Off) ?(max_depth = 60)
-    ?(max_states = 2_000_000) ?(state = `Flat) ~inputs config =
-  let budget_v =
-    match budget with None -> Robust.Budget.unlimited | Some b -> b
-  in
-  match budget_v.Robust.Budget.nodes with
-  | Some k when k <= 1 ->
-      (* not worth partitioning: the allowance barely covers the root;
-         [search] does its own span/recording *)
-      search ?obs ?budget ~dedup ~max_depth ~max_states ~state ~inputs config
-  | node_allowance ->
-      Obs.span obs "mc/search" @@ fun () ->
-      let root =
-        search_from ~polls:None ~budget:None ~checkpoint_every:max_int
-          ~on_checkpoint:None ~resume:None ~dedup:`Off ~max_depth:0
-          ~max_states ~inputs ~replay_root:config ~rev_choices:[]
-          ~decisions:(Config.decisions config) config
-      in
-      if root.violation <> None || not (Config.exists_enabled config)
-         || max_depth = 0
-      then record_result obs root
-      else begin
-        let tasks =
-          List.concat_map
-            (fun pid ->
-              match config.Config.procs.(pid) with
-              | Proc.Decide _ -> []
-              | Proc.Apply _ -> [ (pid, 0) ]
-              | Proc.Choose { n; _ } ->
-                  List.init n (fun outcome -> (pid, outcome)))
-            (Config.enabled_pids config)
-        in
-        let explore_subtree ~budget (pid, outcome) =
-          (* each task flattens its own slab over a private intern table
-             (domains share nothing), created inside the task thunk *)
-          let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
-          if state = `Flat then
-            search_from_flat ~polls:None ~budget ~dedup
-              ~max_depth:(max_depth - 1) ~max_states ~inputs
-              ~replay_root:config
-              ~rev_choices:[ (pid, outcome) ]
-              ~decisions:(Config.decisions config') config'
-          else
-            search_from ~polls:None ~budget ~checkpoint_every:max_int
-              ~on_checkpoint:None ~resume:None ~dedup
-              ~max_depth:(max_depth - 1) ~max_states ~inputs
-              ~replay_root:config
-              ~rev_choices:[ (pid, outcome) ]
-              ~decisions:(Config.decisions config') config'
-        in
-        let task_budget =
-          if Robust.Budget.is_unlimited budget_v then None else Some budget_v
-        in
-        let hard_trip r =
-          match r.completeness with
-          | `Truncated ((`Nodes | `Deadline | `Cancelled) as reason) ->
-              Some reason
-          | `Truncated (`Depth | `States | `Steps) | `Exhaustive -> None
-        in
-        (* cancelled-before-running placeholder for skipped pool slots *)
-        let skipped =
-          {
-            violation = None;
-            visited = 0;
-            leaves = 0;
-            truncated = true;
-            completeness = `Truncated `Cancelled;
-            max_depth_seen = 0;
-            table_hits = 0;
-            table_misses = 0;
-          }
-        in
-        (* Timings travel back with the task results and are observed by
-           the caller after the barrier, in task order: worker domains
-           never touch the (single-domain) metrics accumulator, and the
-           wall-clock reads are skipped entirely when nobody is looking. *)
-        let run_task t =
-          match obs with
-          | None -> (explore_subtree ~budget:task_budget t, 0.)
-          | Some _ ->
-              let t0 = Unix.gettimeofday () in
-              let r = explore_subtree ~budget:task_budget t in
-              (r, Unix.gettimeofday () -. t0)
-        in
-        let timed_speculative =
-          match budget_v.Robust.Budget.cancel with
-          | Some cancel ->
-              List.map
-                (function Some p -> p | None -> (skipped, 0.))
-                (Par.map_cancellable ?pool ~cancel run_task tasks)
-          | None -> Par.map ?pool run_task tasks
-        in
-        if obs <> None then
-          List.iter
-            (fun (_, dt) -> Obs.observe obs "mc/subtree-seconds" dt)
-            timed_speculative;
-        let speculative = List.map fst timed_speculative in
-        (* Sequential validation in task order.  Unmetered ([remaining =
-           None], i.e. no node allowance): keep every speculative result —
-           the legacy merge, where a violation run's statistics cover more
-           of the tree than the early-stopping sequential search.  Metered:
-           keep exactly the prefix of results the sequential search would
-           have produced, re-running on the caller any task whose
-           speculative result could not be the sequential one. *)
-        let rec validate acc remaining = function
-          | [] -> List.rev acc
-          | (task, r) :: rest -> (
-              match remaining with
-              | None -> validate (r :: acc) None rest
-              | Some rem ->
-                  let r =
-                    if hard_trip r <> None || r.visited > rem then
-                      explore_subtree
-                        ~budget:(Some (Robust.Budget.with_nodes budget_v rem))
-                        task
-                    else r
-                  in
-                  if r.violation <> None || hard_trip r <> None then
-                    List.rev (r :: acc)
-                  else validate (r :: acc) (Some (rem - r.visited)) rest)
-        in
-        let subtrees =
-          validate []
-            (Option.map (fun k -> k - 1 (* the root *)) node_allowance)
-            (List.combine tasks speculative)
-        in
-        let visited =
-          List.fold_left (fun acc r -> acc + r.visited) 1 subtrees
-        in
-        let completeness =
-          (* same precedence as the sequential search: a budget trip in
-             any accepted subtree (validation keeps at most one, as its
-             last element) dominates; otherwise the first structural
-             reason in task order precedes the whole-run state cap *)
-          match List.find_map hard_trip subtrees with
-          | Some r -> `Truncated r
-          | None ->
-              let structural =
-                List.fold_left
-                  (fun acc r -> Robust.Budget.merge acc r.completeness)
-                  `Exhaustive subtrees
-              in
-              if structural <> `Exhaustive then structural
-              else if visited > max_states then `Truncated `States
-              else `Exhaustive
-        in
-        record_result obs
-          {
-            violation = List.find_map (fun r -> r.violation) subtrees;
-            visited;
-            leaves = List.fold_left (fun acc r -> acc + r.leaves) 0 subtrees;
-            truncated = completeness <> `Exhaustive;
-            completeness;
-            max_depth_seen =
-              List.fold_left
-                (fun acc r ->
-                  if r.visited > 0 then max acc (1 + r.max_depth_seen) else acc)
-                0 subtrees;
-            table_hits =
-              List.fold_left (fun acc r -> acc + r.table_hits) 0 subtrees;
-            table_misses =
-              List.fold_left (fun acc r -> acc + r.table_misses) 0 subtrees;
-          }
-      end
 
 (* First terminating solo decision of [pid], searching coin outcomes.
    Cheap probe used to seed [decidable_values]: a solo run that decides

@@ -292,71 +292,3 @@ let map_seeded ?pool ~seed f xs =
   let arr = Array.of_list xs in
   let rngs = Sim.Rng.split_n (Sim.Rng.create seed) (Array.length arr) in
   Array.to_list (mapi_array ?pool (fun i x -> f rngs.(i) x) arr)
-
-module Wsq = struct
-  (* A mutex-guarded growable ring with both-end removal.  The sharded
-     model checker ([Mc.Shard]) keeps one per shard: the owning domain
-     pushes and pops at the bottom (LIFO keeps the frontier shallow and
-     cache-warm), thieves take from the top (FIFO steals the oldest —
-     widest — items, the classic work-stealing heuristic).  Contention is
-     coarse by design: every operation takes the lock.  The queues hold
-     whole work items (hundreds of nodes of replay each), so the lock is
-     a vanishing fraction of item cost; a Chase–Lev ring would buy
-     nothing measurable here and costs a memory-model argument. *)
-
-  type 'a t = {
-    mutable buf : 'a option array;
-    mutable head : int;  (* index of oldest element *)
-    mutable len : int;
-    lock : Mutex.t;
-  }
-
-  let create () = { buf = Array.make 16 None; head = 0; len = 0; lock = Mutex.create () }
-
-  let grow t =
-    let cap = Array.length t.buf in
-    let buf' = Array.make (cap * 2) None in
-    for i = 0 to t.len - 1 do
-      buf'.(i) <- t.buf.((t.head + i) mod cap)
-    done;
-    t.buf <- buf';
-    t.head <- 0
-
-  let with_lock t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-  let push t x =
-    with_lock t @@ fun () ->
-    if t.len = Array.length t.buf then grow t;
-    let cap = Array.length t.buf in
-    t.buf.((t.head + t.len) mod cap) <- Some x;
-    t.len <- t.len + 1
-
-  let take t i =
-    let cap = Array.length t.buf in
-    let j = (t.head + i) mod cap in
-    let x = t.buf.(j) in
-    t.buf.(j) <- None;
-    x
-
-  let pop t =
-    with_lock t @@ fun () ->
-    if t.len = 0 then None
-    else begin
-      t.len <- t.len - 1;
-      take t t.len
-    end
-
-  let steal t =
-    with_lock t @@ fun () ->
-    if t.len = 0 then None
-    else begin
-      let x = take t 0 in
-      t.head <- (t.head + 1) mod Array.length t.buf;
-      t.len <- t.len - 1;
-      x
-    end
-
-  let length t = with_lock t @@ fun () -> t.len
-end

@@ -42,10 +42,13 @@ module Pool : sig
       ["par/barrier-wait-seconds"] histogram.  Workers write only
       per-domain slots; the metrics accumulator itself is touched by the
       submitting domain alone, after the barrier.  These counters
-      describe scheduling and are naturally jobs-variant — engine-level
-      counters (["mc/*"], ["fuzz/*"]) stay jobs-invariant because
-      engines record from merged results.  Without [?obs] the
-      instrumentation paths are skipped entirely. *)
+      describe scheduling and are naturally jobs-variant.  Engines
+      record their own counters from merged results after the join:
+      the ["fuzz/*"] family is jobs-invariant, the ["mc/*"] family is
+      jobs-invariant without dedup (the parallel model checker's table
+      hits and node counts depend on the schedule), and ["mc/par/*"] is
+      jobs-variant by design.  Without [?obs] the instrumentation paths
+      are skipped entirely. *)
   val create : ?jobs:int -> ?obs:Obs.t -> unit -> t
 
   val jobs : t -> int
@@ -113,25 +116,3 @@ val map_cancellable :
     which is what makes seeded sweeps reproducible across [--jobs]. *)
 val map_seeded :
   ?pool:Pool.t -> seed:int -> (Sim.Rng.t -> 'a -> 'b) -> 'a list -> 'b list
-
-(** A mutex-guarded double-ended work queue for the sharded frontier
-    ([Mc.Shard]): the owner pushes and pops at the bottom (LIFO), other
-    domains steal from the top (FIFO, oldest first).  Safe for any number
-    of concurrent owners and thieves; every operation locks, which is
-    deliberate — items are coarse (a whole replay-and-expand unit), so a
-    lock-free ring would not be measurable here. *)
-module Wsq : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-
-  (** Owner end: most recently pushed. *)
-  val pop : 'a t -> 'a option
-
-  (** Thief end: oldest. *)
-  val steal : 'a t -> 'a option
-
-  (** Instantaneous size (racy under concurrency, exact when quiescent). *)
-  val length : 'a t -> int
-end

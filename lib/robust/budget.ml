@@ -42,8 +42,6 @@ let make ?nodes ?steps ?deadline ?cancel ?on_poll () =
   in
   { nodes; steps; deadline; cancel; on_poll }
 
-let with_nodes t nodes = { t with nodes = Some nodes }
-
 (* [on_poll] participates: an observer-only budget must still get a meter
    (or its hook would never fire).  Matched structurally — polymorphic
    [=] on a closure-carrying option would be a trap for later editors. *)

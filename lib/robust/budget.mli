@@ -9,9 +9,9 @@
     - {b Node and step budgets are deterministic.}  A search governed by
       [nodes = Some k] visits exactly the first [k] nodes of the
       sequential DFS preorder — bit-for-bit the same set of nodes, counters
-      and verdict on every run and under any [RANDSYNC_JOBS] setting (the
-      parallel engine validates speculative subtree results against the
-      sequential prefix; see DESIGN.md §4d).
+      and verdict on every run and under any [--jobs] setting (a
+      node-budgeted model-checking run always takes the sequential
+      search; see DESIGN.md §4d).
     - {b Deadlines and cancellation are best-effort.}  They are polled
       every [poll_every] ticks, so overshoot is bounded by the cost of
       that many nodes plus the current chunk in the [Par] pool, and two
@@ -76,10 +76,6 @@ val make :
   unit ->
   t
 
-(** Replace the node allowance, keeping deadline/cancel intact.  Used by
-    the parallel validator to re-run a subtree under the exact remaining
-    sequential allowance. *)
-val with_nodes : t -> int -> t
 
 val is_unlimited : t -> bool
 

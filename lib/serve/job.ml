@@ -378,8 +378,8 @@ let run_mc ?pool ?cancel ?on_poll ?checkpoint ~deadline (m : mc) =
       let result =
         match (pool, checkpoint) with
         | Some pool, None ->
-            Mc.Explore.search_par ~pool ?budget ~dedup:m.mc_dedup
-              ~max_depth:m.mc_depth ~max_states:m.mc_max_states ~state:`Flat
+            Mc.Par_explore.search ~pool ?budget ~dedup:m.mc_dedup
+              ~max_depth:m.mc_depth ~max_states:m.mc_max_states
               ~inputs:m.mc_inputs config
         | _ ->
             (* checkpointing runs on the sequential closure engine (the

@@ -156,15 +156,6 @@ let all_decided t = t.enabled = 0
 let decision t p = Intern.decision t.rt (sid t p)
 let fingerprint t p = Intern.fp t.rt (sid t p)
 
-(* Engine-independent serialization of the current configuration: the
-   per-process fingerprints and decoded object values are exactly the
-   closure engine's transposition key and the currency of the
-   disk-backed table ([Mc.Dtbl]) — unlike slab ids or hexact/hsym they
-   do not depend on this run's intern-table numbering, so two domains
-   (or two runs) agree on them byte for byte. *)
-let fingerprints t = Array.init t.n_procs (fun p -> fingerprint t p)
-let objects t = Array.init t.n_objs (fun i -> Intern.value t.rt (obj_vid t i))
-
 let decisions t =
   let acc = ref [] in
   for p = t.n_procs - 1 downto 0 do
@@ -223,6 +214,18 @@ let write_sid t p sid' =
     end;
     Array.unsafe_set t.slab i sid'
   end
+
+(** Overwrite every slot with [ids] (a {!slab_copy} image over this
+    slab's intern table) and recount the enabled processes. *)
+let load t ids =
+  for i = 0 to t.n_objs - 1 do
+    write_obj t i ids.(i)
+  done;
+  t.enabled <- 0;
+  for p = 0 to t.n_procs - 1 do
+    write_sid t p ids.(t.n_objs + p);
+    if is_enabled t p then t.enabled <- t.enabled + 1
+  done
 
 (** Crash process [p] in place (no further steps); mirrors
     [Run.exec_with_crashes]'s in-place halt. *)

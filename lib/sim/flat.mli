@@ -52,18 +52,6 @@ val all_decided : 'a t -> bool
 val decision : 'a t -> int -> 'a option
 val fingerprint : 'a t -> int -> Fingerprint.t
 
-val fingerprints : 'a t -> Fingerprint.t array
-(** Fresh array of every process's consumed-history fingerprint, in pid
-    order.  Together with {!objects} this is the engine- and
-    intern-table-independent serialization of the configuration: the
-    canonical key the sharded model checker routes and deduplicates on
-    ([Mc.Dtbl.Skey]), identical to what the closure engine derives from
-    [Config.fps]. *)
-
-val objects : 'a t -> Value.t array
-(** Fresh array of the current object values, decoded from their interned
-    ids ({!Intern.value}); companion of {!fingerprints}. *)
-
 val decisions : 'a t -> 'a list
 (** Decided values in pid order (same order as [Config.decisions]). *)
 
@@ -88,6 +76,12 @@ val write_obj : 'a t -> int -> int -> unit
 val write_sid : 'a t -> int -> int -> unit
 (** [write_sid t p sid] sets process [p]'s state id, maintaining both
     hashes; does NOT touch the enabled count (see {!note_decided}). *)
+
+val load : 'a t -> int array -> unit
+(** [load t ids] overwrites every slot with [ids] (object vids then
+    sids, the {!slab_copy} layout, over [t]'s intern table) and recounts
+    the enabled processes: how a parallel model-checker worker adopts a
+    stolen configuration. *)
 
 val halt : 'a t -> int -> unit
 (** Crash process [p] in place (idempotent). *)

@@ -167,6 +167,9 @@ type 'a t = {
   mutable st_fp : int array;
   mutable st_proc : 'a Proc.t option array;  (** forced closure, miss path only *)
   mutable st_dec : 'a option array;
+  mutable st_link : int array;
+      (** the [succ] key that created the state, [pack (parent, input)];
+          -1 for roots *)
   mutable n_states : int;
   roots : (int, int) Hashtbl.t;  (** caller key -> root sid (cold; keys may be negative) *)
   succ : Itbl.t;  (** pack (sid, input id) -> sid' *)
@@ -185,6 +188,7 @@ let create ~optypes =
     st_fp = Array.make 64 0;
     st_proc = Array.make 64 None;
     st_dec = Array.make 64 None;
+    st_link = Array.make 64 (-1);
     n_states = 0;
     roots = Hashtbl.create 16;
     succ = Itbl.create 1024;
@@ -223,15 +227,17 @@ let grow (type x) (dummy : x) (arr : x array) len : x array =
   Array.init (2 * len) (fun i -> if i < len then arr.(i) else dummy)
 
 (* Force one closure node into a fresh state id. *)
-let intern_state (t : 'a t) (proc : 'a Proc.t) ~fp =
+let intern_state (t : 'a t) (proc : 'a Proc.t) ~fp ~link =
   let sid = t.n_states in
   if sid >= max_ids then raise Overflow;
   if sid = Array.length t.st_code then begin
     t.st_code <- grow 0 t.st_code sid;
     t.st_fp <- grow 0 t.st_fp sid;
     t.st_proc <- grow None t.st_proc sid;
-    t.st_dec <- grow None t.st_dec sid
+    t.st_dec <- grow None t.st_dec sid;
+    t.st_link <- grow (-1) t.st_link sid
   end;
+  t.st_link.(sid) <- link;
   (match proc with
   | Proc.Apply { obj; _ } ->
       (* validated here, once per distinct state, so every later consumer
@@ -252,11 +258,11 @@ let root t ~key ~fp proc =
   match Hashtbl.find_opt t.roots key with
   | Some sid -> sid
   | None ->
-      let sid = intern_state t proc ~fp in
+      let sid = intern_state t proc ~fp ~link:(-1) in
       Hashtbl.add t.roots key sid;
       sid
 
-let root_fresh t ~fp proc = intern_state t proc ~fp
+let root_fresh t ~fp proc = intern_state t proc ~fp ~link:(-1)
 
 let code t sid = Array.unsafe_get t.st_code sid
 
@@ -290,7 +296,7 @@ let apply_miss t key sid vid =
         match Itbl.find t.succ skey with
         | -1 ->
             let sid' =
-              intern_state t (k resp)
+              intern_state t (k resp) ~link:skey
                 ~fp:
                   (Fingerprint.mix t.st_fp.(sid)
                      (Fingerprint.value_hash resp))
@@ -327,7 +333,8 @@ let choose_miss t key sid outcome =
   match proc t sid with
   | Proc.Choose { k; _ } ->
       let sid' =
-        intern_state t (k outcome) ~fp:(Fingerprint.mix t.st_fp.(sid) outcome)
+        intern_state t (k outcome) ~link:key
+          ~fp:(Fingerprint.mix t.st_fp.(sid) outcome)
       in
       Itbl.add t.succ key sid';
       sid'
@@ -342,3 +349,29 @@ let[@inline] choose t ~sid ~outcome =
   let key = (sid lsl id_bits) lor outcome in
   let sid' = Itbl.find t.succ key in
   if sid' >= 0 then sid' else choose_miss t key sid outcome
+
+let parent t sid =
+  let l = t.st_link.(sid) in
+  if l < 0 then -1 else fst_of l
+
+let input t sid = snd_of t.st_link.(sid)
+
+(* Successor on one consumed input, for callers that replay another
+   table's links: [apply]/[choose] from the input rather than the object
+   value.  Cold path only. *)
+let child t ~sid ~input =
+  let key = pack sid input in
+  match Itbl.find t.succ key with
+  | -1 -> (
+      match proc t sid with
+      | Proc.Apply { k; _ } ->
+          let resp = t.values.(input) in
+          let sid' =
+            intern_state t (k resp) ~link:key
+              ~fp:(Fingerprint.mix t.st_fp.(sid) (Fingerprint.value_hash resp))
+          in
+          Itbl.add t.succ key sid';
+          sid'
+      | Proc.Choose _ -> choose_miss t key sid input
+      | Proc.Decide _ -> raise Step_disabled)
+  | sid' -> sid'

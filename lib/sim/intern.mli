@@ -82,3 +82,17 @@ val sid_of : int -> int
 
 val choose : 'a t -> sid:int -> outcome:int -> int
 (** Successor of a [Choose] state on a coin outcome (range-checked). *)
+
+val child : 'a t -> sid:int -> input:int -> int
+(** Successor of [sid] on one consumed input: a response value id for an
+    [Apply] state, a coin outcome for a [Choose] state (not
+    range-checked).  Equal (state, input) pairs give equal ids, so
+    replaying another table's {!parent}/{!input} links here maps its
+    state ids to this table's, exactly. *)
+
+val parent : 'a t -> int -> int
+(** The state a state was stepped from; [-1] for a root. *)
+
+val input : 'a t -> int -> int
+(** The consumed input of the step from {!parent} (see {!child});
+    unspecified for a root. *)

@@ -212,8 +212,8 @@ let test_create_shutdown_churn () =
 
 (* ---- governed search under chaos ---- *)
 
-let test_search_par_cancelled_mid_run () =
-  for_each_jobs "search_par cancelled" @@ fun jobs ->
+let test_par_mc_cancelled_mid_run () =
+  for_each_jobs "parallel mc cancelled" @@ fun jobs ->
   Par.with_pool ~jobs @@ fun pool ->
   (* a pre-cancelled token: the search must return (no hang), carry a
      cancelled verdict, and never claim exhaustiveness *)
@@ -224,7 +224,7 @@ let test_search_par_cancelled_mid_run () =
       ~inputs:[ 0; 1; 1 ]
   in
   let r =
-    Mc.Explore.search_par ~pool
+    Mc.Par_explore.search ~pool
       ~budget:(Robust.Budget.make ~cancel ())
       ~max_depth:20 ~inputs:[ 0; 1 ] config
   in
@@ -232,6 +232,23 @@ let test_search_par_cancelled_mid_run () =
   Alcotest.(check string) "cancelled verdict" "truncated (cancelled)"
     (Robust.Budget.completeness_to_string r.Mc.Explore.completeness);
   Alcotest.(check bool) "no spurious violation" true
+    (r.Mc.Explore.violation = None);
+  (* and a token set while the workers are deep in the tree *)
+  let cancel = Robust.Cancel.create () in
+  let setter =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        Robust.Cancel.set cancel)
+  in
+  let r =
+    Mc.Par_explore.search ~pool
+      ~budget:(Robust.Budget.make ~cancel ())
+      ~max_depth:40 ~max_states:max_int ~inputs:[ 0; 1 ] config
+  in
+  Domain.join setter;
+  Alcotest.(check string) "cancelled mid-run" "truncated (cancelled)"
+    (Robust.Budget.completeness_to_string r.Mc.Explore.completeness);
+  Alcotest.(check bool) "no spurious violation mid-run" true
     (r.Mc.Explore.violation = None)
 
 let suite =
@@ -252,6 +269,7 @@ let suite =
       test_shutdown_during_batch;
     Alcotest.test_case "create/shutdown churn" `Quick
       test_create_shutdown_churn;
+    (* id kept from the former [Explore.search_par] entry point *)
     Alcotest.test_case "search_par cancelled mid-run" `Quick
-      test_search_par_cancelled_mid_run;
+      test_par_mc_cancelled_mid_run;
   ]

@@ -69,6 +69,24 @@ let test_exit_codes () =
     (run_cli [ "attack"; "flawed-unanimous-rw-r1" ]);
   check_code "attack fails on correct protocol" 4 (run_cli [ "attack"; "cas-1" ])
 
+(* --jobs 1 is the sequential search, not a one-domain parallel run: the
+   output (stats line included) is byte-identical to the run without
+   --jobs, violating runs too *)
+let test_jobs1_is_sequential () =
+  List.iter
+    (fun args ->
+      let seq = run_cli ("mc" :: args) in
+      let j1 = run_cli (("mc" :: args) @ [ "--jobs"; "1" ]) in
+      Alcotest.(check int) (String.concat " " args ^ ": exit") seq.code j1.code;
+      Alcotest.(check string) (String.concat " " args ^ ": output") seq.out
+        j1.out)
+    [
+      [ "cas-1"; "--inputs"; "0,1" ];
+      [ "rw-3n"; "--inputs"; "0,0,0"; "--depth"; "10"; "--dedup"; "symmetric" ];
+      [ "counter-3"; "--inputs"; "0,1,0"; "--depth"; "14"; "--dedup"; "exact" ];
+      [ "flawed-first-writer-r1"; "--inputs"; "0,1"; "--dedup"; "exact" ];
+    ]
+
 let test_budget_truncation () =
   let r =
     run_cli
@@ -363,20 +381,7 @@ let test_numeric_validation () =
     "--runs must be >= 1";
   refused "submit --attempts=0"
     [ "submit"; "--socket"; "/nonexistent.sock"; "--attempts=0"; "--ping" ]
-    "--attempts must be >= 1";
-  (* --table-mem-budget: degenerate sizes were already refused; pin it *)
-  refused "mc --table-mem-budget 0"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--state"; "flat";
-      "--table-mem-budget"; "0" ]
-    "--table-mem-budget";
-  refused "mc --table-mem-budget 0k"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--state"; "flat";
-      "--table-mem-budget"; "0k" ]
-    "--table-mem-budget";
-  refused "mc --table-mem-budget k"
-    [ "mc"; "cas-1"; "--inputs"; "0,1"; "--state"; "flat";
-      "--table-mem-budget"; "k" ]
-    "--table-mem-budget"
+    "--attempts must be >= 1"
 
 (* the synth subcommand's exit-code and output contract *)
 let test_synth_subcommand () =
@@ -443,6 +448,8 @@ let suite =
     Alcotest.test_case "fuzz progress exit code" `Quick
       test_fuzz_progress_exit_code;
     Alcotest.test_case "node budget truncation" `Quick test_budget_truncation;
+    Alcotest.test_case "mc --jobs=1 is the sequential search" `Quick
+      test_jobs1_is_sequential;
     Alcotest.test_case "deadline terminates in time" `Quick
       test_deadline_terminates;
     Alcotest.test_case "checkpoint/resume round trip" `Quick

@@ -385,70 +385,6 @@ let test_checkpoint_v1_still_reads () =
   Alcotest.(check bool) "writes carry the path count" true
     (contains text "randsync-checkpoint v2" && contains text "path 2 1:0 0:2")
 
-(* ---- dtbl v1 records ---- *)
-
-let dtbl_error name line =
-  match Mc.Dtbl.record_of_line line with
-  | exception Sim.Trace_io.Parse_error _ -> ()
-  | _ -> Alcotest.failf "%s: accepted damaged dtbl record %S" name line
-
-let dtbl_sample_keys =
-  [
-    Mc.Dtbl.Skey.make ~fps:[||] ~objs:[||];
-    Mc.Dtbl.Skey.make ~fps:[| 0 |] ~objs:[| Sim.Value.Unit |];
-    Mc.Dtbl.Skey.make
-      ~fps:[| min_int; -3; 0; 17; max_int |]
-      ~objs:
-        [|
-          Sim.Value.Bool false;
-          Sim.Value.Int (-12);
-          Sim.Value.Sym "w";
-          Sim.Value.Pair (Sim.Value.Int 1, Sim.Value.Opt None);
-          Sim.Value.Opt (Some (Sim.Value.List [ Sim.Value.Int 2; Sim.Value.Unit ]));
-          Sim.Value.List [];
-        |];
-  ]
-
-let test_dtbl_record_torture () =
-  List.iter
-    (fun key ->
-      List.iter
-        (fun meta ->
-          let line = Mc.Dtbl.record_to_line key meta in
-          (* byte-prefix sweep: a prefix parses only if it decodes to the
-             original record — the sentinel makes every strict prefix a
-             loud error, including cuts that land on token boundaries *)
-          for n = 0 to String.length line - 1 do
-            match Mc.Dtbl.record_of_line (String.sub line 0 n) with
-            | exception Sim.Trace_io.Parse_error _ -> ()
-            | key', meta' ->
-                if not (Mc.Dtbl.Skey.equal key key' && meta = meta') then
-                  Alcotest.failf
-                    "dtbl prefix %d/%d parsed to a different record" n
-                    (String.length line)
-          done;
-          (* the hash check: any payload change that survives framing is
-             still refused *)
-          let key', meta' = Mc.Dtbl.record_of_line line in
-          Alcotest.(check bool) "record round-trips" true
-            (Mc.Dtbl.Skey.equal key key' && meta = meta');
-          dtbl_error "trailing garbage" (line ^ " x");
-          dtbl_error "two records interleaved" (line ^ " " ^ line);
-          dtbl_error "sentinel dropped"
-            (Test_util.replace_first ~sub:" ;" ~by:"" line))
-        [ 2; ((30 + 1) lsl 2) lor 1 ])
-    dtbl_sample_keys;
-  (* a hash-field flip is caught by the recomputation, not the framing *)
-  let line =
-    Mc.Dtbl.record_to_line
-      (Mc.Dtbl.Skey.make ~fps:[| 5 |] ~objs:[| Sim.Value.Int 9 |])
-      4
-  in
-  dtbl_error "payload flip breaks the hash check"
-    (Test_util.replace_first ~sub:"i9" ~by:"i8" line);
-  dtbl_error "empty line" "";
-  dtbl_error "header as record" Mc.Dtbl.header
-
 let suite =
   [
     Alcotest.test_case "wire frames round-trip" `Quick test_wire_round_trip;
@@ -467,6 +403,4 @@ let suite =
     Alcotest.test_case "checkpoint torture" `Quick test_checkpoint_torture;
     Alcotest.test_case "checkpoint v1 still reads" `Quick
       test_checkpoint_v1_still_reads;
-    Alcotest.test_case "dtbl v1 record torture" `Quick
-      test_dtbl_record_torture;
   ]

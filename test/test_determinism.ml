@@ -7,6 +7,5 @@ let () =
     [
       ("par-determinism", Test_par_determinism.suite);
       ("obs-determinism", Test_obs_determinism.suite);
-      ("flat-determinism", Test_flat_determinism.suite);
       ("synth-determinism", Test_synth_determinism.suite);
     ]

@@ -1,23 +1,25 @@
-(* Instrumentation must not perturb determinism: search_par and fuzz
-   campaigns run with a metrics-enabled handle (in-memory sink) under
-   jobs 1 and 2 — the results stay bit-identical and the merged engine
-   counters (the ["mc/"] and ["fuzz/"] families) are jobs-invariant and
-   equal to the result fields they mirror.  The ["par/"] counters
-   describe scheduling (chunks per domain, batches) and are jobs-variant
-   by nature, so they are filtered out before comparison — the point of
-   the per-domain-slot design is precisely that their variance never
-   leaks into engine counters. *)
+(* Instrumentation must not perturb determinism: the parallel model
+   checker (without dedup) and fuzz campaigns run with a metrics-enabled
+   handle (in-memory sink) under jobs 1 and 2 — the results stay
+   bit-identical and the merged engine counters (the ["mc/"] and
+   ["fuzz/"] families) are jobs-invariant and equal to the result fields
+   they mirror.  The ["par/"] and ["mc/par/"] counters describe
+   scheduling (chunks per domain, steals, lock contention) and are
+   jobs-variant by nature, so they are filtered out before comparison. *)
 
 open Consensus
 
 let engine_counters obs =
   List.filter
-    (fun (name, _) -> not (String.starts_with ~prefix:"par/" name))
+    (fun (name, _) ->
+      not
+        (String.starts_with ~prefix:"par/" name
+        || String.starts_with ~prefix:"mc/par/" name))
     (Obs.Metrics.counters (Obs.metrics obs))
 
 let counter obs name = Obs.Metrics.counter (Obs.metrics obs) name
 
-(* ---- search_par ---- *)
+(* ---- Par_explore.search ---- *)
 
 let project_result (r : _ Mc.Explore.result) =
   ( (match r.violation with
@@ -31,19 +33,19 @@ let project_result (r : _ Mc.Explore.result) =
     r.table_hits,
     r.table_misses )
 
-let run_search jobs =
+let run_search ?(dedup = `Off) jobs =
   let obs = Obs.create ~sink:(Obs.Sink.memory ()) () in
   let config =
     Protocol.initial_config Cas_consensus.protocol ~inputs:[ 0; 1; 1 ]
   in
   let r =
     Par.with_pool ~jobs ~obs (fun pool ->
-        Mc.Explore.search_par ~obs ~pool ~dedup:`Exact ~max_depth:12
+        Mc.Par_explore.search ~obs ~pool ~dedup ~max_depth:12
           ~inputs:[ 0; 1 ] config)
   in
   (r, obs)
 
-let test_search_par_metrics_jobs_invariant () =
+let test_par_mc_metrics_jobs_invariant () =
   let r1, obs1 = run_search 1 in
   let r2, obs2 = run_search 2 in
   Alcotest.(check bool) "results bit-identical" true
@@ -69,20 +71,31 @@ let test_search_par_metrics_jobs_invariant () =
       Alcotest.(check int) "mc/max-depth = max_depth_seen"
         r.Mc.Explore.max_depth_seen
         (Obs.Metrics.watermark (Obs.metrics obs) "mc/max-depth"))
-    [ (obs1, r1); (obs2, r2) ]
+    (* under dedup the counts depend on the schedule at jobs >= 2, but
+       the counters still mirror that run's result *)
+    [
+      (obs1, r1);
+      (obs2, r2);
+      (let r, obs = run_search ~dedup:`Exact 2 in
+       (obs, r));
+    ]
 
-let test_search_par_obs_does_not_change_result () =
+let test_par_mc_obs_does_not_change_result () =
   (* the observer effect pin: with and without a handle, same answer *)
   let config () =
     Protocol.initial_config Counter_consensus.protocol ~inputs:[ 0; 1 ]
   in
   let bare =
-    project_result (Mc.Explore.search_par ~max_depth:9 ~inputs:[ 0; 1 ] (config ()))
+    project_result
+      (Par.with_pool ~jobs:2 (fun pool ->
+           Mc.Par_explore.search ~pool ~max_depth:9 ~inputs:[ 0; 1 ] (config ())))
   in
   let obs = Obs.create ~sink:(Obs.Sink.memory ()) () in
   let watched =
     project_result
-      (Mc.Explore.search_par ~obs ~max_depth:9 ~inputs:[ 0; 1 ] (config ()))
+      (Par.with_pool ~jobs:2 (fun pool ->
+           Mc.Par_explore.search ~obs ~pool ~max_depth:9 ~inputs:[ 0; 1 ]
+             (config ())))
   in
   Alcotest.(check bool) "observed run = bare run" true (watched = bare)
 
@@ -131,12 +144,14 @@ let test_campaign_metrics_jobs_invariant () =
           Alcotest.(check bool) "shrinker exercised" true
             (st.Fuzz.Shrink.candidates > 0))
 
+(* The parallel-mc cases keep the ids they had when the entry point was
+   [Explore.search_par]. *)
 let suite =
   [
-    Alcotest.test_case "search_par metrics jobs-invariant" `Quick
-      test_search_par_metrics_jobs_invariant;
+    Alcotest.test_case "search_par metrics jobs-invariant (off)" `Quick
+      test_par_mc_metrics_jobs_invariant;
     Alcotest.test_case "search_par unperturbed by obs" `Quick
-      test_search_par_obs_does_not_change_result;
+      test_par_mc_obs_does_not_change_result;
     Alcotest.test_case "campaign metrics jobs-invariant" `Quick
       test_campaign_metrics_jobs_invariant;
   ]

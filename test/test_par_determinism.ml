@@ -22,7 +22,7 @@ let across_pools f =
     pool_jobs;
   reference
 
-(* ---- Explore.search_par ---- *)
+(* ---- Par_explore.search ---- *)
 
 let project_result (r : _ Mc.Explore.result) =
   ( (match r.violation with
@@ -39,17 +39,17 @@ let project_result (r : _ Mc.Explore.result) =
 
 let config_of p inputs = Protocol.initial_config p ~inputs
 
-let test_search_par_pool_independent () =
+let test_par_pool_independent () =
   let config = config_of Cas_consensus.protocol [ 0; 1; 1 ] in
   ignore
     (across_pools (fun pool ->
          project_result
-           (Mc.Explore.search_par ?pool ~max_depth:12 ~inputs:[ 0; 1 ] config)))
+           (Mc.Par_explore.search ?pool ~max_depth:12 ~inputs:[ 0; 1 ] config)))
 
-let test_search_par_matches_sequential_fields () =
-  (* the satellite pin: on violation-free trees the merged result equals
-     the sequential [search] in every field, not just the verdict —
-     both when exhaustive and when depth-truncated *)
+let test_par_matches_sequential_fields () =
+  (* without dedup the parallel result equals the sequential [search] in
+     every field, not just the verdict — both when exhaustive and when
+     depth-truncated *)
   List.iter
     (fun (name, p, inputs, max_depth) ->
       let seq =
@@ -59,8 +59,9 @@ let test_search_par_matches_sequential_fields () =
       in
       let par =
         project_result
-          (Mc.Explore.search_par ~max_depth ~inputs:[ 0; 1 ]
-             (config_of p inputs))
+          (Par.with_pool ~jobs:2 (fun pool ->
+               Mc.Par_explore.search ~pool ~max_depth ~inputs:[ 0; 1 ]
+                 (config_of p inputs)))
       in
       Alcotest.(check bool) (name ^ ": all fields equal") true (par = seq))
     [
@@ -70,19 +71,21 @@ let test_search_par_matches_sequential_fields () =
       ("fa truncated", Fa_consensus.protocol, [ 0; 1 ], 8);
     ]
 
-let test_search_par_depth_zero_and_violation_witness () =
+let test_par_depth_zero_and_violation_witness () =
   (* max_depth = 0: only the root is examined, trivially equal *)
   let config = config_of Cas_consensus.protocol [ 0; 1 ] in
   Alcotest.(check bool)
     "depth 0 equal" true
-    (project_result (Mc.Explore.search_par ~max_depth:0 ~inputs:[ 0; 1 ] config)
+    (project_result
+       (Par.with_pool ~jobs:2 (fun pool ->
+            Mc.Par_explore.search ~pool ~max_depth:0 ~inputs:[ 0; 1 ] config))
     = project_result (Mc.Explore.search ~max_depth:0 ~inputs:[ 0; 1 ] config));
-  (* a violation: the partitioned search must report the same witness the
+  (* a violation: the parallel search must report the same witness the
      sequential DFS finds, for every pool size *)
   let p = Flawed.first_writer ~r:1 in
   let witness pool =
     match
-      (Mc.Explore.search_par ?pool ~max_depth:40 ~inputs:[ 0; 1 ]
+      (Mc.Par_explore.search ?pool ~max_depth:40 ~inputs:[ 0; 1 ]
          (config_of p [ 0; 1 ]))
         .violation
     with
@@ -100,13 +103,13 @@ let test_search_par_depth_zero_and_violation_witness () =
   in
   Alcotest.(check string) "same witness as sequential" seq_witness par_witness
 
-let test_search_par_node_budget_equals_sequential () =
-  (* the tentpole pin: a node budget is deterministic under any job count
-     AND equal to the sequential governed search in every field,
-     completeness verdict included — the speculative validation fold must
-     reproduce the sequential frontier exactly.  Allowances straddle the
-     interesting boundaries: the k<=1 fallback, mid-subtree trips, a trip
-     on the last node, and a budget beyond the tree (exhaustive). *)
+let test_par_node_budget_equals_sequential () =
+  (* a node budget is deterministic under any job count AND equal to the
+     sequential governed search in every field, completeness verdict
+     included (budgeted runs take the sequential search).  Allowances
+     straddle the interesting boundaries: the root alone, mid-subtree
+     trips, a trip on the last node, and a budget beyond the tree
+     (exhaustive). *)
   let config () = config_of Counter_consensus.protocol [ 0; 1 ] in
   List.iter
     (fun nodes ->
@@ -119,7 +122,7 @@ let test_search_par_node_budget_equals_sequential () =
       let par =
         across_pools (fun pool ->
             project_result
-              (Mc.Explore.search_par ?pool ~budget:(budget ()) ~max_depth:9
+              (Mc.Par_explore.search ?pool ~budget:(budget ()) ~max_depth:9
                  ~inputs:[ 0; 1 ] (config ())))
       in
       Alcotest.(check bool)
@@ -127,22 +130,9 @@ let test_search_par_node_budget_equals_sequential () =
         true (par = seq))
     [ 1; 2; 3; 10; 1_000; 10_000; 100_000_000 ]
 
-(* ---- Explore.search_par with dedup ---- *)
+(* ---- Par_explore.search with dedup ---- *)
 
-let test_search_par_dedup_pool_independent () =
-  (* each subtree task owns a private transposition table, so the merged
-     result is bit-identical for jobs 1, 2, 8 and pool = None *)
-  let config = config_of Cas_consensus.protocol [ 0; 1; 1 ] in
-  List.iter
-    (fun dedup ->
-      ignore
-        (across_pools (fun pool ->
-             project_result
-               (Mc.Explore.search_par ?pool ~dedup ~max_depth:12
-                  ~inputs:[ 0; 1 ] config))))
-    [ `Exact; `Symmetric ]
-
-let test_search_par_dedup_witness_parity () =
+let test_par_dedup_witness_parity () =
   (* dedup never changes the reported witness, pooled or not *)
   let p = Flawed.first_writer ~r:1 in
   let config () = config_of p [ 0; 1 ] in
@@ -159,7 +149,7 @@ let test_search_par_dedup_witness_parity () =
       let w =
         across_pools (fun pool ->
             witness
-              (Mc.Explore.search_par ?pool ~dedup ~max_depth:40
+              (Mc.Par_explore.search ?pool ~dedup ~max_depth:40
                  ~inputs:[ 0; 1 ] (config ())))
       in
       Alcotest.(check string) "same witness under dedup" reference w)
@@ -255,20 +245,20 @@ let test_experiment_tables_deterministic () =
             (Experiments.E14_ablation.table ?pool ~ns:[ 2 ] ~reps:8 ()) );
     ]
 
+(* The parallel-mc cases keep the ids they had when the entry point was
+   [Explore.search_par], so results stay comparable across versions. *)
 let suite =
   [
     Alcotest.test_case "search_par pool-independent" `Quick
-      test_search_par_pool_independent;
+      test_par_pool_independent;
     Alcotest.test_case "search_par = search, all fields" `Quick
-      test_search_par_matches_sequential_fields;
+      test_par_matches_sequential_fields;
     Alcotest.test_case "search_par depth-0 and witness parity" `Quick
-      test_search_par_depth_zero_and_violation_witness;
+      test_par_depth_zero_and_violation_witness;
     Alcotest.test_case "search_par node budget = sequential" `Quick
-      test_search_par_node_budget_equals_sequential;
-    Alcotest.test_case "search_par dedup pool-independent" `Quick
-      test_search_par_dedup_pool_independent;
+      test_par_node_budget_equals_sequential;
     Alcotest.test_case "search_par dedup witness parity" `Quick
-      test_search_par_dedup_witness_parity;
+      test_par_dedup_witness_parity;
     Alcotest.test_case "attack seed sweep" `Quick
       test_attack_seed_sweep_deterministic;
     Alcotest.test_case "attack protocol sweep" `Quick

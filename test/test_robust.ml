@@ -53,9 +53,6 @@ let test_budget_construction () =
     (Budget.is_unlimited (Budget.make ~nodes:5 ()));
   Alcotest.(check bool) "cancel binds" false
     (Budget.is_unlimited (Budget.make ~cancel:(Cancel.create ()) ()));
-  let b = Budget.with_nodes (Budget.make ~nodes:5 ~steps:7 ()) 9 in
-  Alcotest.(check bool) "with_nodes replaces nodes only" true
-    (b.Budget.nodes = Some 9 && b.Budget.steps = Some 7);
   (* a relative deadline is stored as an absolute instant in the future *)
   let now = Unix.gettimeofday () in
   let b = Budget.make ~deadline:3600. () in
