@@ -172,9 +172,11 @@ let par_bench () =
       ~header:[ "scenario"; "jobs"; "seconds"; "speedup"; "identical" ]
   in
   (* the general attack sweep: one Lemma 3.6 construction per (r, style)
-     cell at register counts big enough to cost ~0.5 s each — the E3
-     workload pushed into the parameter regime the parallel engine is
-     for.  6 coarse independent cells saturate 4 domains. *)
+     cell at register counts big enough to cost 0.2-0.4 s each (r = 32,
+     36, 40: 3,234 to 5,002 processes; measured on a 2-core x86-64 VM,
+     OCaml 5.1.1, no flambda) — the E3 workload pushed into the parameter
+     regime the parallel engine is for.  6 coarse independent cells
+     saturate 4 domains. *)
   add_scenario table "general-attack-sweep" (fun pool ->
       Lowerbound.General_attack.sweep ?pool
         (List.concat_map
@@ -183,7 +185,7 @@ let par_bench () =
                Consensus.Flawed.unanimous ~style:Consensus.Flawed.Rw ~r;
                Consensus.Flawed.unanimous ~style:Consensus.Flawed.Swapping ~r;
              ])
-           [ 10; 13; 16 ])
+           [ 32; 36; 40 ])
       |> List.map (fun (name, result) ->
              ( name,
                match result with

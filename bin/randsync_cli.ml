@@ -305,9 +305,10 @@ let attack_cmd =
               Sim.Trace_io.save_int ~path trace;
               Fmt.pr "witness saved to %s@." path
         in
-        (* The lowerbound constructions are not internally instrumented;
-           the CLI records the outcome-shaped facts itself so an attack
-           --metrics dump still tells the whole story. *)
+        (* The lowerbound constructions never touch [Obs] (they run on
+           worker domains in sweeps): their outcomes carry plain work
+           counters, and the CLI records those and the other
+           outcome-shaped facts itself. *)
         let code =
           Obs.span obs "attack" @@ fun () ->
           if general then begin
@@ -336,6 +337,10 @@ let attack_cmd =
                   o.Lowerbound.General_attack.verdict;
                 Obs.add obs "attack/witness-steps"
                   (Sim.Trace.steps o.Lowerbound.General_attack.trace);
+                Obs.add obs "attack/solo-nodes"
+                  o.Lowerbound.General_attack.solo_nodes;
+                Obs.add obs "attack/steps"
+                  o.Lowerbound.General_attack.builder_steps;
                 if Lowerbound.General_attack.succeeded o then begin
                   print_endline "INCONSISTENT EXECUTION CONSTRUCTED";
                   Obs.incr obs "attack/violations";
@@ -383,6 +388,8 @@ let attack_cmd =
                 Fmt.pr "verdict: %a@." Sim.Checker.pp o.Lowerbound.Attack.verdict;
                 Obs.add obs "attack/witness-steps"
                   (Sim.Trace.steps o.Lowerbound.Attack.trace);
+                Obs.add obs "attack/solo-nodes" o.Lowerbound.Attack.solo_nodes;
+                Obs.add obs "attack/steps" o.Lowerbound.Attack.builder_steps;
                 if do_certify then begin
                   match Lowerbound.Attack.certify p o with
                   | Ok (trace, verdict) ->

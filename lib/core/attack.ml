@@ -16,8 +16,8 @@
       {!Combine.combine} with V = {alpha's register}, W = {beta's}.
 
    The returned execution is a genuine execution of the protocol — every
-   step went through {!Sim.Run.step} — and the verdict is recomputed
-   independently by {!Sim.Checker}. *)
+   step went through the ordinary step function ({!Sim.Run.step_inplace})
+   — and the verdict is recomputed independently by {!Sim.Checker}. *)
 
 open Sim
 
@@ -30,6 +30,8 @@ type outcome = {
   registers : int;
   genealogy : Builder.lineage list;  (** how each clone came to be *)
   nominal_n : int;  (** the n the protocol code was instantiated with *)
+  solo_nodes : int;  (** nodes visited by the construction's solo searches *)
+  builder_steps : int;  (** steps the construction took *)
 }
 
 type error =
@@ -52,13 +54,11 @@ let error_to_string = function
    returns remaining coins, or None if it decided without one. *)
 let run_prefix b ~pid ~coins =
   let coins_left =
-    Builder.run_coins b ~pid ~coins
-      ~stop:(fun config p -> Solo.poised_anywhere config p)
-      ()
+    Builder.run_coins b ~pid ~coins ~stop:Solo.poised_anywhere ()
   in
   if Config.is_decided (Builder.config b) pid then None else Some coins_left
 
-let finish b ~n_objects ~nominal_n =
+let finish b ~n_objects ~nominal_n (work : Work.t) =
   {
     trace = Builder.trace b;
     config = Builder.config b;
@@ -68,6 +68,8 @@ let finish b ~n_objects ~nominal_n =
     registers = n_objects;
     genealogy = Builder.genealogy b;
     nominal_n;
+    solo_nodes = work.solo_nodes;
+    builder_steps = work.builder_steps;
   }
 
 let run ?(nominal_n = 64) ?(max_solo_steps = 5_000) ?(max_solo_nodes = 500_000)
@@ -90,48 +92,53 @@ let run ?(nominal_n = 64) ?(max_solo_steps = 5_000) ?(max_solo_nodes = 500_000)
       | Some ({ decision = Some _; _ } as f) -> Ok f
       | Some { decision = None; _ } -> assert false
     in
-    match (solo 0 0, solo 1 1) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok alpha, Ok beta -> (
-        let b = Builder.create ~config ~inputs:[ 0; 1 ] in
-        try
-          (match run_prefix b ~pid:0 ~coins:alpha.Solo.coins with
-          | None ->
-              (* alpha wrote nothing: run it, then beta replays solo *)
-              let _ = Builder.run_coins b ~pid:1 ~coins:beta.Solo.coins () in
-              ()
-          | Some acoins -> (
-              match run_prefix b ~pid:1 ~coins:beta.Solo.coins with
-              | None ->
-                  (* beta wrote nothing and already decided during its
-                     prefix; alpha's continuation still replays because
-                     nothing was written *)
-                  let _ = Builder.run_coins b ~pid:0 ~coins:acoins () in
-                  ()
-              | Some bcoins ->
-                  let r_p =
-                    match Triviality.poised_write (Builder.config b) 0 with
-                    | Some (obj, _) -> obj
-                    | None -> Combine.fail "P0 neither decided nor poised"
-                  in
-                  let r_q =
-                    match Triviality.poised_write (Builder.config b) 1 with
-                    | Some (obj, _) -> obj
-                    | None -> Combine.fail "P1 neither decided nor poised"
-                  in
-                  let pside =
-                    Side.make ~regs:[ r_p ]
-                      ~writers:[ (r_p, 0) ]
-                      ~runner:0 ~coins:acoins ~decides:0
-                  in
-                  let qside =
-                    Side.make ~regs:[ r_q ]
-                      ~writers:[ (r_q, 1) ]
-                      ~runner:1 ~coins:bcoins ~decides:1
-                  in
-                  Combine.combine b pside qside));
-          Ok (finish b ~n_objects ~nominal_n)
-        with Combine.Attack_failed msg -> Error (Construction_failed msg))
+    let attack () =
+      match (solo 0 0, solo 1 1) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok alpha, Ok beta -> (
+          let b = Builder.create ~config ~inputs:[ 0; 1 ] in
+          try
+            (match run_prefix b ~pid:0 ~coins:alpha.Solo.coins with
+            | None ->
+                (* alpha wrote nothing: run it, then beta replays solo *)
+                let _ = Builder.run_coins b ~pid:1 ~coins:beta.Solo.coins () in
+                ()
+            | Some acoins -> (
+                match run_prefix b ~pid:1 ~coins:beta.Solo.coins with
+                | None ->
+                    (* beta wrote nothing and already decided during its
+                       prefix; alpha's continuation still replays because
+                       nothing was written *)
+                    let _ = Builder.run_coins b ~pid:0 ~coins:acoins () in
+                    ()
+                | Some bcoins ->
+                    let r_p =
+                      match Triviality.poised_write (Builder.config b) 0 with
+                      | Some (obj, _) -> obj
+                      | None -> Combine.fail "P0 neither decided nor poised"
+                    in
+                    let r_q =
+                      match Triviality.poised_write (Builder.config b) 1 with
+                      | Some (obj, _) -> obj
+                      | None -> Combine.fail "P1 neither decided nor poised"
+                    in
+                    let pside =
+                      Side.make ~regs:[ r_p ]
+                        ~writers:[ (r_p, 0) ]
+                        ~runner:0 ~coins:acoins ~decides:0
+                    in
+                    let qside =
+                      Side.make ~regs:[ r_q ]
+                        ~writers:[ (r_q, 1) ]
+                        ~runner:1 ~coins:bcoins ~decides:1
+                    in
+                    Combine.combine b pside qside));
+            Ok b
+          with Combine.Attack_failed msg -> Error (Construction_failed msg))
+    in
+    match Work.measure attack with
+    | Ok b, work -> Ok (finish b ~n_objects ~nominal_n work)
+    | Error e, _ -> Error e
   end
 
 (** Did the attack produce a genuine violation? *)
@@ -202,19 +209,17 @@ let certify (p : Consensus.Protocol.t) (o : outcome) =
     o.genealogy;
   let counts = Hashtbl.create 8 in
   let count pid = try Hashtbl.find counts pid with Not_found -> 0 in
-  let config = ref config in
   let rev_trace = ref [] in
   let exception Unrealizable of string in
   (* one step of [pid]; returns the response of an Apply step, if any *)
   let raw_step pid coin =
-    let config', events =
-      Run.step !config ~pid
+    let events =
+      Run.step_inplace config ~pid
         ~coin:(fun _ ->
           match coin with
           | Some c -> c
           | None -> raise (Unrealizable "coin flip where the trace had none"))
     in
-    config := config';
     rev_trace := List.rev_append events !rev_trace;
     Hashtbl.replace counts pid (count pid + 1);
     List.find_map
@@ -252,8 +257,8 @@ let certify (p : Consensus.Protocol.t) (o : outcome) =
             ignore (step_with_shadows pid (Some outcome))
         | Event.Decided _ | Event.Halted _ -> ())
       (Trace.events o.trace);
-    let verdict = Checker.of_config ~inputs:o.inputs !config in
-    if Checker.inconsistent ~decisions:(Config.decisions !config) then
+    let verdict = Checker.of_config ~inputs:o.inputs config in
+    if Checker.inconsistent ~decisions:(Config.decisions config) then
       Ok (List.rev !rev_trace, verdict)
     else Error "certified replay did not reproduce the inconsistency"
   with

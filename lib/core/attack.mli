@@ -14,6 +14,8 @@ type outcome = {
   registers : int;
   genealogy : Builder.lineage list;  (** how each clone came to be *)
   nominal_n : int;
+  solo_nodes : int;  (** nodes visited by the construction's solo searches *)
+  builder_steps : int;  (** steps the construction took *)
 }
 
 type error =

@@ -20,6 +20,11 @@
       capacity (the proof's script-E sets), drop them and the used block
       writers from P, and recurse with V' = V + Y + Z.
 
+   Every set operation on processes goes through pid-indexed membership
+   arrays, and each level buckets its poised processes by object in one
+   pass, so a level costs O(n + r^2) rather than O(n) per object and per
+   candidate i.
+
    The construction is *recorded into the builder it is given* — callers
    that only want a witness pass a scratch builder over the current
    configuration and replay the witness later ({!Splice}).  [released]
@@ -47,31 +52,46 @@ type result = {
           never stepping in the witness *)
 }
 
+(* pid-indexed membership of a process set *)
+let membership n pids =
+  let member = Array.make n false in
+  List.iter (fun pid -> member.(pid) <- true) pids;
+  member
+
+(* Per object, the ascending list of enabled member processes poised
+   (nontrivially) there — [Triviality.poised_at config obj] filtered by
+   membership, for every object in one pass over the pids. *)
+let poised_buckets config member =
+  let buckets = Array.make (Config.n_objects config) [] in
+  for pid = Config.n_procs config - 1 downto 0 do
+    if member.(pid) && Config.is_enabled config pid then
+      match Triviality.poised_write config pid with
+      | Some (obj, _) -> buckets.(obj) <- pid :: buckets.(obj)
+      | None -> ()
+  done;
+  buckets
+
 let construct b ~all_objects ~vset ~pset ~uset ~e =
+  let n = Builder.n_procs b in
   let rec go ~vset ~pset ~released_acc =
     let v_bar = List.filter (fun o -> not (List.mem o vset)) all_objects in
-    let config = Builder.config b in
     (* 1. reserve |v_bar|+1 poised P-processes per V-object *)
+    let poised_p = poised_buckets (Builder.config b) (membership n pset) in
     let reserved_per_obj =
       List.map
         (fun obj ->
-          let poised =
-            List.filter
-              (fun pid -> List.mem pid pset)
-              (Triviality.poised_at config obj)
-          in
           ( obj,
             take_exactly
               (List.length v_bar + 1)
               (Printf.sprintf "P-processes poised at obj %d" obj)
-              poised ))
+              poised_p.(obj) ))
         vset
     in
     let bwriters =
       List.map (fun (obj, pids) -> (obj, List.hd pids)) reserved_per_obj
     in
-    let reserved = List.concat_map snd reserved_per_obj in
-    let rest = List.filter (fun pid -> not (List.mem pid reserved)) pset in
+    let reserved = membership n (List.concat_map snd reserved_per_obj) in
+    let rest = List.filter (fun pid -> not reserved.(pid)) pset in
     (* block write to V, recorded *)
     let m0 = Builder.mark b in
     Builder.block_write b bwriters;
@@ -85,19 +105,14 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
           | None -> ())
       bwriters;
     (* 2. run everyone else until decided or poised outside V *)
+    let stop = Solo.poised_outside vset in
     let run_one pid =
       if !decided = None then
-        match
-          Solo.search (Builder.config b) ~pid ~stop:(Solo.poised_outside vset)
-        with
+        match Solo.search (Builder.config b) ~pid ~stop with
         | None ->
             fail "solo search failed for P%d (budget or no termination)" pid
         | Some { coins; decision; _ } ->
-            let _ =
-              Builder.run_coins b ~pid ~coins
-                ~stop:(fun config p -> Solo.poised_outside vset config p)
-                ()
-            in
+            let _ = Builder.run_coins b ~pid ~coins ~stop () in
             if decision <> None then decided := Some (pid, Option.get decision)
     in
     List.iter run_one rest;
@@ -127,13 +142,10 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
           fail
             "V covers all objects but nobody decided (no solo termination?)";
         (* 3. the counting argument *)
-        let config = Builder.config b in
-        let count obj =
-          List.length
-            (List.filter
-               (fun pid -> List.mem pid rest)
-               (Triviality.poised_at config obj))
+        let poised_rest =
+          poised_buckets (Builder.config b) (membership n rest)
         in
+        let count = Array.map List.length poised_rest in
         let vbar_ubar, vbar_u =
           List.partition (fun o -> not (List.mem o uset)) v_bar
         in
@@ -143,8 +155,8 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
             fail "counting argument failed: |P|=%d is too small"
               (List.length pset)
           else
-            let ys = List.filter (fun o -> count o >= i) vbar_ubar in
-            let zs = List.filter (fun o -> count o >= e + i) vbar_u in
+            let ys = List.filter (fun o -> count.(o) >= i) vbar_ubar in
+            let zs = List.filter (fun o -> count.(o) >= e + i) vbar_u in
             if List.length ys + List.length zs >= vb - i + 1 then (i, ys, zs)
             else find_i (i + 1)
         in
@@ -164,15 +176,13 @@ let construct b ~all_objects ~vset ~pset ~uset ~e =
               ( obj,
                 take_exactly e
                   (Printf.sprintf "excess reservations at obj %d" obj)
-                  (List.filter
-                     (fun pid -> List.mem pid rest)
-                     (Triviality.poised_at config obj)) ))
+                  poised_rest.(obj) ))
             zs
         in
         let retired =
-          List.map snd bwriters @ List.concat_map snd released
+          membership n (List.map snd bwriters @ List.concat_map snd released)
         in
-        let pset' = List.filter (fun pid -> not (List.mem pid retired)) pset in
+        let pset' = List.filter (fun pid -> not retired.(pid)) pset in
         let vset' = List.sort_uniq compare (vset @ ys @ zs) in
         let tail, released_acc =
           go ~vset:vset' ~pset:pset' ~released_acc:(released @ released_acc)

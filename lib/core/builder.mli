@@ -2,7 +2,10 @@
     by step while keeping the bookkeeping the proofs need — the full
     trace, the inputs of every process (clones included), and per object
     a snapshot of the last nontrivial writer's state taken just before its
-    operation (the "clone left behind" device of Section 3.1). *)
+    operation (the "clone left behind" device of Section 3.1).
+
+    A builder owns one private configuration and steps it in place, so a
+    step costs O(1) in the number of processes. *)
 
 open Sim
 
@@ -13,8 +16,16 @@ type lineage = { clone : int; origin : int; cutoff : int }
     the data {!Attack.certify} needs to realize clones as genuine
     identical processes shadowing their origins lock-step. *)
 
+(** [create ~config ~inputs] starts from a private copy of [config]: the
+    caller's configuration is never mutated.  [inputs] gives one input per
+    process of [config] (raises [Invalid_argument] otherwise). *)
 val create : config:int Config.t -> inputs:int list -> t
+
+(** The current configuration: a live, read-only view, valid until the
+    builder's next step, clone or restore.  Copy it ([Config.copy]) to
+    keep it longer; never mutate it. *)
 val config : t -> int Config.t
+
 val trace : t -> int Trace.t
 val inputs : t -> int list
 val n_procs : t -> int
@@ -32,7 +43,11 @@ val input_of : t -> int -> int
 
 type snapshot
 
+(** Copies the configuration and the per-process tables: O(n). *)
 val snapshot : t -> snapshot
+
+(** Back to the snapshot's state (copied again, so a snapshot can be
+    restored more than once). *)
 val restore : t -> snapshot -> unit
 
 (** {1 Stepping} *)
@@ -41,25 +56,15 @@ val restore : t -> snapshot -> unit
     internal flip (raises otherwise). *)
 val step : t -> pid:int -> ?coin:int -> unit -> unit
 
-(** Add a clone with the given state, input and lineage; returns its
-    pid.  [fp] must be the origin's fingerprint at the snapshot moment
-    (see [Sim.Fingerprint]) so clone and origin stay fingerprint-equal
-    exactly when they are state-equal. *)
-val add_clone :
-  t ->
-  state:int Proc.t ->
-  fp:Fingerprint.t ->
-  input:int ->
-  origin:int ->
-  cutoff:int ->
-  int
+(** One clone per object, in order, each poised to re-perform the last
+    nontrivial operation on its object; returns the clones' pids.  Raises
+    if no operation was recorded on one of them.  The configuration is
+    copied once per call, however many clones it adds. *)
+val clone_last_writers : t -> objs:int list -> int list
 
-(** A clone poised to re-perform the last nontrivial operation on the
-    object; raises if none was recorded. *)
-val clone_last_writer : t -> obj:int -> int
-
-(** Clone a live process in its current state. *)
-val clone_of : t -> pid:int -> int
+(** Clones of live processes in their current states, in order; returns
+    their pids.  One configuration copy per call. *)
+val clones_of : t -> pids:int list -> int list
 
 (** A block write (Section 3): one nontrivial operation on each listed
     object by its poised writer, in order; raises if a writer is not
@@ -67,13 +72,13 @@ val clone_of : t -> pid:int -> int
 val block_write : t -> (int * int) list -> unit
 
 (** Run [pid] with the given coin outcomes until it decides, exhausts the
-    coins at a flip, or [stop] holds (checked before each step); returns
-    unused coins. *)
+    coins at a flip, or [stop] holds of its state (checked before each
+    step); returns unused coins. *)
 val run_coins :
   t ->
   pid:int ->
   coins:int list ->
-  ?stop:(int Config.t -> int -> bool) ->
+  ?stop:(int Proc.t -> bool) ->
   unit ->
   int list
 

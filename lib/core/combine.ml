@@ -36,8 +36,8 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Attack_failed s)) fmt
    write, stopping early if it becomes poised at a nontrivial op outside
    [within] (pass all objects to run to completion). *)
 let run_witness b (side : Side.t) ~within =
-  let stop config pid = Solo.poised_outside within config pid in
-  Builder.run_coins b ~pid:side.Side.runner ~coins:side.Side.coins ~stop ()
+  Builder.run_coins b ~pid:side.Side.runner ~coins:side.Side.coins
+    ~stop:(Solo.poised_outside within) ()
 
 (* Domain-local, not a plain ref: [Par] runs attack constructions on
    several domains at once, each entitled to its own budget. *)
@@ -73,16 +73,18 @@ let solo_search config ~pid =
   let meter = Domain.DLS.get budget_meter in
   Solo.terminating ~max_steps ~max_nodes ?meter config ~pid
 
-(* Execute a block write on a scratch copy of the configuration (pure
-   steps; the builder is untouched) and return the resulting config. *)
+(* Execute a block write on a scratch copy of the configuration (the
+   builder is untouched) and return the copy. *)
 let scratch_block_write config writers =
-  List.fold_left
-    (fun config (obj, pid) ->
+  let config = Config.copy config in
+  List.iter
+    (fun (obj, pid) ->
       (match Triviality.poised_write config pid with
       | Some (o, _) when o = obj -> ()
       | _ -> fail "scratch block write: P%d not poised at obj %d" pid obj);
-      fst (Run.step config ~pid ~coin:(fun _ -> 0)))
-    config writers
+      ignore (Run.step_inplace config ~pid ~coin:(fun _ -> 0)))
+    writers;
+  config
 
 let rec combine b (pside : Side.t) (qside : Side.t) =
   if pside.Side.decides = qside.Side.decides then
@@ -124,9 +126,8 @@ and subset_case b (inner : Side.t) (outer : Side.t) =
     if Side.mem outer r_obj then fail "stop predicate returned an object in W";
     (* a clone poised to re-perform the last write on each register of V *)
     let clones =
-      List.map
-        (fun obj -> (obj, Builder.clone_last_writer b ~obj))
-        inner.Side.regs
+      List.combine inner.Side.regs
+        (Builder.clone_last_writers b ~objs:inner.Side.regs)
     in
     let inner' =
       Side.make
@@ -151,7 +152,8 @@ and incomparable_case b (pside : Side.t) (qside : Side.t) =
   (* U-writers, A-flavour: P's writers plus clones of Q's writers on W-V *)
   let w_minus_v = Side.writers_outside qside ~other:pside in
   let wclones =
-    List.map (fun (obj, qpid) -> (obj, Builder.clone_of b ~pid:qpid)) w_minus_v
+    List.combine (List.map fst w_minus_v)
+      (Builder.clones_of b ~pids:(List.map snd w_minus_v))
   in
   let umap_a = pside.Side.writers @ wclones in
   let u_regs = List.map fst umap_a in
@@ -180,7 +182,8 @@ and incomparable_case b (pside : Side.t) (qside : Side.t) =
     Builder.restore b snap;
     let v_minus_w = Side.writers_outside pside ~other:qside in
     let vclones =
-      List.map (fun (obj, ppid) -> (obj, Builder.clone_of b ~pid:ppid)) v_minus_w
+      List.combine (List.map fst v_minus_w)
+        (Builder.clones_of b ~pids:(List.map snd v_minus_w))
     in
     let perf_clone =
       match List.assoc_opt perf_obj vclones with

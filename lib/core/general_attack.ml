@@ -28,6 +28,8 @@ type outcome = {
   registers : int;
   pieces_alpha : int;
   pieces_beta : int;
+  solo_nodes : int;  (** nodes visited by the construction's solo searches *)
+  builder_steps : int;  (** steps the construction took, replays included *)
 }
 
 type error =
@@ -67,21 +69,18 @@ let run ?budget ?processes (p : Consensus.Protocol.t) =
     Build_interruptible.construct scratch ~all_objects:objs ~vset:[]
       ~pset:side_pids ~uset:objs ~e:r
   in
-  try
-    Combine.with_budget_meter budget @@ fun () ->
+  let attack () =
     let a = build pset and b_ = build qset in
-    if a.Build_interruptible.witness.Interruptible.decides <> 0 then
-      Error
-        (Side_decides_wrong
-           { side = 0; got = a.Build_interruptible.witness.Interruptible.decides })
-    else if b_.Build_interruptible.witness.Interruptible.decides <> 1 then
-      Error
-        (Side_decides_wrong
-           { side = 1; got = b_.Build_interruptible.witness.Interruptible.decides })
+    let wa = a.Build_interruptible.witness
+    and wb = b_.Build_interruptible.witness in
+    if wa.Interruptible.decides <> 0 then
+      Error (Side_decides_wrong { side = 0; got = wa.Interruptible.decides })
+    else if wb.Interruptible.decides <> 1 then
+      Error (Side_decides_wrong { side = 1; got = wb.Interruptible.decides })
     else begin
       let aside =
         {
-          Splice.witness = a.Build_interruptible.witness;
+          Splice.witness = wa;
           pset;
           excess = a.Build_interruptible.released;
           decides = 0;
@@ -89,7 +88,7 @@ let run ?budget ?processes (p : Consensus.Protocol.t) =
       in
       let bside =
         {
-          Splice.witness = b_.Build_interruptible.witness;
+          Splice.witness = wb;
           pset = qset;
           excess = b_.Build_interruptible.released;
           decides = 1;
@@ -98,19 +97,29 @@ let run ?budget ?processes (p : Consensus.Protocol.t) =
       let b = Builder.create ~config ~inputs in
       Splice.combine b aside bside;
       Ok
-        {
-          trace = Builder.trace b;
-          config = Builder.config b;
-          verdict = Builder.verdict b;
-          inputs;
-          processes_used = m;
-          registers = r;
-          pieces_alpha =
-            List.length a.Build_interruptible.witness.Interruptible.pieces;
-          pieces_beta =
-            List.length b_.Build_interruptible.witness.Interruptible.pieces;
-        }
+        ( b,
+          List.length wa.Interruptible.pieces,
+          List.length wb.Interruptible.pieces )
     end
+  in
+  try
+    Combine.with_budget_meter budget @@ fun () ->
+    match Work.measure attack with
+    | Error e, _ -> Error e
+    | Ok (b, pieces_alpha, pieces_beta), work ->
+        Ok
+          {
+            trace = Builder.trace b;
+            config = Builder.config b;
+            verdict = Builder.verdict b;
+            inputs;
+            processes_used = m;
+            registers = r;
+            pieces_alpha;
+            pieces_beta;
+            solo_nodes = work.Work.solo_nodes;
+            builder_steps = work.Work.builder_steps;
+          }
   with
   | Combine.Attack_failed msg -> Error (Construction_failed msg)
   | Robust.Budget.Exhausted reason -> Error (Budget_exhausted reason)

@@ -13,6 +13,10 @@ type outcome = {
   registers : int;
   pieces_alpha : int;
   pieces_beta : int;
+  solo_nodes : int;  (** nodes visited by the construction's solo searches *)
+  builder_steps : int;
+      (** steps taken through every builder of the construction — the
+          witnesses' scratch builds and the final splice alike *)
 }
 
 type error =

@@ -8,6 +8,11 @@
    nodes.  A protocol for which the search fails within the budget is
    reported as such, never silently treated as terminating.
 
+   A solo run changes only the runner's own state and the objects, so the
+   search state is exactly that: the process term and an r-sized object
+   array, copied when an operation changes a value.  A node costs O(r),
+   not O(n), however many other processes the configuration holds.
+
    [stop] generalizes the goal, e.g. Lemma 3.4 runs a process "until it has
    decided or is poised at an object in V-bar": pass a predicate that holds
    when the process's pending nontrivial operation lies outside V. *)
@@ -21,7 +26,8 @@ type 'a found = {
 }
 
 let search ?(max_steps = 2_000) ?(max_nodes = 200_000) ?meter
-    ?(stop = fun _config _pid -> false) ?rng (config : 'a Config.t) ~pid =
+    ?(stop = fun _proc -> false) ?rng (config : 'a Config.t) ~pid =
+  let optypes = config.Config.optypes in
   let nodes = ref 0 in
   (* [meter] is the caller's budget (deadline/cancellation/global step
      cap) layered over the local [max_steps]/[max_nodes] bounds: local
@@ -46,53 +52,60 @@ let search ?(max_steps = 2_000) ?(max_nodes = 200_000) ?meter
         Rng.shuffle rng order;
         order
   in
-  (* rev_coins accumulates outcomes; returns the goal description *)
-  let rec go config rev_coins steps =
+  (* rev_coins accumulates outcomes; returns the goal description.
+     [objects] is never mutated: an apply that changes a value steps into
+     a fresh copy, so every ancestor's array stays valid for
+     backtracking. *)
+  let rec go proc objects rev_coins steps =
     guard ();
     incr nodes;
     if !nodes > max_nodes || steps > max_steps then None
-    else if Config.is_decided config pid then
-      Some
-        {
-          coins = List.rev rev_coins;
-          decision = Config.decision config pid;
-          steps;
-        }
-    else if stop config pid then
-      Some { coins = List.rev rev_coins; decision = None; steps }
     else
-      match config.Config.procs.(pid) with
-      | Proc.Decide _ -> assert false
-      | Proc.Apply _ ->
-          let config', _ = Run.step config ~pid ~coin:(fun _ -> 0) in
-          go config' rev_coins (steps + 1)
-      | Proc.Choose { n; _ } ->
+      match proc with
+      | Proc.Decide v ->
+          Some { coins = List.rev rev_coins; decision = Some v; steps }
+      | _ when stop proc ->
+          Some { coins = List.rev rev_coins; decision = None; steps }
+      | Proc.Apply { obj; op; k } ->
+          let old = objects.(obj) in
+          let value, resp = Optype.apply optypes.(obj) old op in
+          let objects =
+            if value == old then objects
+            else begin
+              let objects = Array.copy objects in
+              objects.(obj) <- value;
+              objects
+            end
+          in
+          go (k resp) objects rev_coins (steps + 1)
+      | Proc.Choose { n; k } ->
           let order = outcome_order n in
           let rec try_outcome idx =
             if idx >= n then None
             else
               let o = order.(idx) in
-              let config', _ = Run.step config ~pid ~coin:(fun _ -> o) in
-              match go config' (o :: rev_coins) (steps + 1) with
+              match go (k o) objects (o :: rev_coins) (steps + 1) with
               | Some _ as found -> found
               | None -> try_outcome (idx + 1)
           in
           try_outcome 0
   in
-  go config [] 0
+  let found = go config.Config.procs.(pid) config.Config.objects [] 0 in
+  Work.add_solo_nodes !nodes;
+  found
 
 (** A terminating solo execution (decision goal only). *)
 let terminating ?max_steps ?max_nodes ?meter ?rng config ~pid =
   search ?max_steps ?max_nodes ?meter ?rng config ~pid
 
-(** Goal predicate: pid is poised at a nontrivial operation on an object
-    outside [inside].  Combine with the implicit decided-goal to get
-    Lemma 3.4's "until decided or poised at an object in V-bar". *)
-let poised_outside inside config pid =
-  match Triviality.poised_write config pid with
+(** Goal predicate: the process is poised at a nontrivial operation on an
+    object outside [inside].  Combine with the implicit decided-goal to
+    get Lemma 3.4's "until decided or poised at an object in V-bar". *)
+let poised_outside inside proc =
+  match Triviality.pending_write proc with
   | Some (obj, _) -> not (List.mem obj inside)
   | None -> false
 
-(** Goal predicate: pid is poised at any nontrivial operation at all.
-    Used to cut a solo execution at its first write (Lemma 3.2). *)
-let poised_anywhere config pid = Triviality.poised_write config pid <> None
+(** Goal predicate: the process is poised at any nontrivial operation at
+    all.  Used to cut a solo execution at its first write (Lemma 3.2). *)
+let poised_anywhere proc = Triviality.pending_write proc <> None

@@ -12,11 +12,15 @@ type 'a found = {
   steps : int;
 }
 
-(** Goal: pid decided, or [stop config pid] holds (checked before each
-    step).  With [rng], coin outcomes at each node are tried in a
-    shuffled order — a randomized restart of the same complete search,
-    deterministic for a fixed generator state (used by the parallel seed
-    sweeps in {!Attack}).
+(** Goal: pid decided, or [stop] holds of its state (checked before each
+    step).  The search reads [config] and never mutates it; its state is
+    the process term plus the object values, so a node costs O(r) however
+    many processes [config] holds.
+
+    With [rng], coin outcomes at each node are tried in a shuffled order —
+    a randomized restart of the same complete search, deterministic for a
+    fixed generator state (used by the parallel seed sweeps in
+    {!Attack}).
 
     [?meter] layers a caller-wide budget (deadline, cancellation, global
     step cap) over the local bounds: exhausting [max_steps]/[max_nodes]
@@ -28,7 +32,7 @@ val search :
   ?max_steps:int ->
   ?max_nodes:int ->
   ?meter:Robust.Budget.Meter.t ->
-  ?stop:('a Config.t -> int -> bool) ->
+  ?stop:('a Proc.t -> bool) ->
   ?rng:Rng.t ->
   'a Config.t ->
   pid:int ->
@@ -47,8 +51,8 @@ val terminating :
 (** Goal predicate: poised at a nontrivial operation on an object outside
     [inside] — Lemma 3.4's "until decided or poised at an object in
     V-bar". *)
-val poised_outside : int list -> 'a Config.t -> int -> bool
+val poised_outside : int list -> 'a Proc.t -> bool
 
 (** Goal predicate: poised at any nontrivial operation — cuts a solo
     execution at its first write (Lemma 3.2). *)
-val poised_anywhere : 'a Config.t -> int -> bool
+val poised_anywhere : 'a Proc.t -> bool

@@ -17,12 +17,15 @@ let is_trivial (op : Op.t) = op.name = "read" || (op.name = "fetch&add" && op.ar
 
 let is_nontrivial op = not (is_trivial op)
 
-(** The pending nontrivial operation of [pid], if any: [Some (obj, op)]
-    when the process is poised (in the paper's sense) at [obj]. *)
-let poised_write config pid =
-  match Config.pending config pid with
+(** The pending nontrivial operation of a process state, if any:
+    [Some (obj, op)] when the process is poised (in the paper's sense) at
+    [obj]. *)
+let pending_write proc =
+  match Proc.pending proc with
   | Some (obj, op) when is_nontrivial op -> Some (obj, op)
   | Some _ | None -> None
+
+let poised_write config pid = pending_write config.Config.procs.(pid)
 
 (** All enabled processes poised (nontrivially) at object [obj].
     Built in one descending pass — no intermediate [enabled_pids]

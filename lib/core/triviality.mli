@@ -11,8 +11,11 @@ open Sim
 val is_trivial : Op.t -> bool
 val is_nontrivial : Op.t -> bool
 
-(** The pending nontrivial operation of a process, if it is poised in the
-    paper's sense. *)
+(** The pending nontrivial operation of a process state, if it is poised
+    in the paper's sense. *)
+val pending_write : 'a Proc.t -> (int * Op.t) option
+
+(** {!pending_write} of a process of the configuration. *)
 val poised_write : 'a Config.t -> int -> (int * Op.t) option
 
 (** Enabled processes poised (nontrivially) at the object. *)

@@ -1,7 +1,8 @@
 (* A configuration (Section 2): the value of every shared object plus the
-   state of every process.  Configurations here are persistent: [step]-style
-   updates in [Run.pure] copy the arrays, so the model checker and the
-   lower-bound adversaries can hold many configurations at once.
+   state of every process.  [Run.step] copies the arrays, so the closure
+   model checker can hold many configurations at once; callers that own a
+   configuration privately step it in place ([Run.step_inplace]: the
+   runners and the lower-bound adversaries' [Lowerbound.Builder]).
 
    [halted] supports crash-failure injection: a halted process performs no
    further steps (the paper's "a process may become faulty at a given point
@@ -108,22 +109,20 @@ let halt t pid =
   t.halted.(pid) <- true;
   t
 
-(** Append a process in state [state]; returns the new configuration and the
-    new process's id.  Used by the lower-bound adversaries to introduce
-    clones (whose states are snapshots of existing processes).  [?fp], when
-    given, is the fingerprint of the origin whose state was snapshotted, so
-    the clone's fingerprint stays consistent with its state. *)
-let add_proc ?fp t state =
-  let n = n_procs t in
-  let procs = Array.make (n + 1) state in
-  Array.blit t.procs 0 procs 0 n;
-  let halted = Array.make (n + 1) false in
-  Array.blit t.halted 0 halted 0 n;
-  let fps =
-    Array.make (n + 1) (match fp with Some f -> f | None -> Fingerprint.initial)
-  in
-  Array.blit t.fps 0 fps 0 n;
-  ({ t with procs; halted; fps }, n)
+(** Append processes, each in the given state with the given fingerprint;
+    returns the new configuration and the pid of the first of them (the
+    rest follow in order).  One copy of the arrays however many are
+    added: the lower-bound adversaries introduce clones in batches of up
+    to r. *)
+let add_procs t added =
+  let added = Array.of_list added in
+  ( {
+      t with
+      procs = Array.append t.procs (Array.map fst added);
+      halted = Array.append t.halted (Array.make (Array.length added) false);
+      fps = Array.append t.fps (Array.map snd added);
+    },
+    n_procs t )
 
 (** [pending t pid] is the shared-memory operation [pid] is poised at. *)
 let pending t pid = Proc.pending t.procs.(pid)

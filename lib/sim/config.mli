@@ -1,6 +1,8 @@
 (** Configurations (Section 2): the value of every shared object plus the
-    state of every process, persistent (updates copy), with crash-failure
-    flags and per-process state fingerprints (see {!Fingerprint}). *)
+    state of every process, with crash-failure flags and per-process state
+    fingerprints (see {!Fingerprint}).  [Run.step] copies a configuration,
+    [Run.step_inplace] mutates one its caller owns; the functions below
+    copy. *)
 
 type 'a t = {
   optypes : Optype.t array;
@@ -55,16 +57,17 @@ val all_decided : 'a t -> bool
 
 val decisions : 'a t -> 'a list
 
-(** {1 Mutation (persistent)} *)
+(** {1 Updates (copying)} *)
 
 (** Crash a process: it takes no further steps. *)
 val halt : 'a t -> int -> 'a t
 
-(** Append a process in the given state; returns the new configuration and
-    the new pid.  Used by the lower-bound adversaries to introduce clones;
-    [?fp] carries over the fingerprint of the origin whose state was
-    snapshotted. *)
-val add_proc : ?fp:Fingerprint.t -> 'a t -> 'a Proc.t -> 'a t * int
+(** Append processes, each given its state and fingerprint, with one copy
+    of the arrays; returns the new configuration and the first new pid,
+    the rest following in order.  Used by the lower-bound adversaries to
+    introduce clones (snapshots of existing processes, carrying their
+    origins' fingerprints). *)
+val add_procs : 'a t -> ('a Proc.t * Fingerprint.t) list -> 'a t * int
 
 (** {1 Poisedness} *)
 

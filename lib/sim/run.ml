@@ -1,7 +1,8 @@
 (* Executing configurations.
 
    [step] is the *pure* single-step function: it copies the configuration, so
-   callers (model checker, lower-bound adversaries) can keep the old one.
+   callers (the closure model checker) can keep the old one; [step_inplace]
+   mutates a configuration its caller owns.
    [exec] drives a scheduler over the pure step.  [exec_fast] is an in-place
    variant with identical semantics for long measurement runs; a property
    test asserts trace equivalence between the two. *)
@@ -97,7 +98,7 @@ let step_quiet (config : 'a Config.t) ~pid ~coin =
       config'.fps.(pid) <- Fingerprint.mix config.fps.(pid) outcome);
   config'
 
-(* In-place step on a private copy owned by [exec_fast]. *)
+(** In-place step on a configuration the caller owns privately. *)
 let step_inplace (config : 'a Config.t) ~pid ~coin =
   let proc', fp', write_back, ev =
     step_events config ~pid ~coin ~objects:config.objects

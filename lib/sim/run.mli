@@ -37,6 +37,12 @@ val step :
     happy path; decisions are read back off the configuration. *)
 val step_quiet : 'a Config.t -> pid:int -> coin:(int -> int) -> 'a Config.t
 
+(** {!step} on the configuration itself: mutates [config] in place and
+    returns the same events, with no copy.  For callers that own a private
+    configuration (the runners below, [Lowerbound.Builder]). *)
+val step_inplace :
+  'a Config.t -> pid:int -> coin:(int -> int) -> 'a Event.t list
+
 (** Drive a scheduler for at most [max_steps] steps (default 100_000),
     copying configurations (persistent). *)
 val exec : ?max_steps:int -> 'a Sched.t -> 'a Config.t -> 'a result

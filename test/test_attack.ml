@@ -113,7 +113,7 @@ let test_clone_last_writer () =
   let b = Builder.create ~config ~inputs:[ 0; 1 ] in
   Builder.step b ~pid:0 ();
   (* P0 wrote 0 to reg 0 *)
-  let clone = Builder.clone_last_writer b ~obj:0 in
+  let clone = List.hd (Builder.clone_last_writers b ~objs:[ 0 ]) in
   (match Triviality.poised_write (Builder.config b) clone with
   | Some (0, op) ->
       Alcotest.(check string) "clone pending write" "write" op.Op.name;

@@ -233,26 +233,27 @@ let test_fuzz_progress_exit_code () =
     (run_cli
        [ "fuzz"; "lin-collect-counter"; "--runs"; "300"; "--seed"; "42" ])
 
+(* A counter's value in a --metrics dump.  Zero-valued counters are
+   omitted, so a missing name reads as 0. *)
+let counter_of_metrics path name =
+  let ic = open_in path in
+  let prefix =
+    Printf.sprintf {|{"type":"counter","name":"%s","value":|} name
+  in
+  let plen = String.length prefix in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file -> acc
+    | line ->
+        if String.length line > plen && String.sub line 0 plen = prefix then
+          go (int_of_string (String.sub line plen (String.length line - plen - 1)))
+        else go acc
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 0)
+
 let test_metrics_and_progress () =
   (* --metrics writes line-JSON whose counters equal the stdout numbers;
-     the dump happens before the process exits, violation or not.
-     Zero-valued counters are omitted, so a missing name reads as 0. *)
-  let counter_of_metrics path name =
-    let ic = open_in path in
-    let prefix =
-      Printf.sprintf {|{"type":"counter","name":"%s","value":|} name
-    in
-    let plen = String.length prefix in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file -> acc
-      | line ->
-          if String.length line > plen && String.sub line 0 plen = prefix then
-            go (int_of_string (String.sub line plen (String.length line - plen - 1)))
-          else go acc
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go 0)
-  in
+     the dump happens before the process exits, violation or not. *)
   let path = Filename.temp_file "randsync-cli" ".metrics" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -288,6 +289,49 @@ let test_metrics_and_progress () =
       check_code "mc with --progress" 0 p;
       Alcotest.(check bool) "heartbeat line printed" true
         (contains p.out "mc: nodes="))
+
+(* attack --metrics records the construction's work counters straight
+   from its outcome, for both adversaries and at any --jobs *)
+let test_attack_metrics () =
+  let path = Filename.temp_file "randsync-cli-attack" ".metrics" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let general = Consensus.Flawed.mixed ~r:3 in
+      check_code "general attack exits 2" 2
+        (run_cli
+           [ "attack"; "flawed-mixed-r3"; "--general"; "--metrics"; path ]);
+      (match Lowerbound.General_attack.run general with
+      | Error e -> Alcotest.fail (Lowerbound.General_attack.error_to_string e)
+      | Ok o ->
+          Alcotest.(check int) "general attack/solo-nodes"
+            o.Lowerbound.General_attack.solo_nodes
+            (counter_of_metrics path "attack/solo-nodes");
+          Alcotest.(check int) "general attack/steps"
+            o.Lowerbound.General_attack.builder_steps
+            (counter_of_metrics path "attack/steps");
+          Alcotest.(check bool) "general counters nonzero" true
+            (o.Lowerbound.General_attack.solo_nodes > 0
+            && o.Lowerbound.General_attack.builder_steps > 0));
+      let counters jobs =
+        check_code "identical attack exits 2" 2
+          (run_cli
+             [ "attack"; "flawed-unanimous-rw-r2"; "--seeds"; "4"; "--jobs";
+               jobs; "--metrics"; path ]);
+        ( counter_of_metrics path "attack/solo-nodes",
+          counter_of_metrics path "attack/steps" )
+      in
+      let j1 = counters "1" in
+      Alcotest.(check (pair int int)) "identical counters jobs-invariant" j1
+        (counters "2");
+      match Lowerbound.Attack.run ~rng:(Sim.Rng.create 1)
+              (Consensus.Flawed.unanimous ~style:Consensus.Flawed.Rw ~r:2)
+      with
+      | Error e -> Alcotest.fail (Lowerbound.Attack.error_to_string e)
+      | Ok o ->
+          Alcotest.(check (pair int int)) "identical counters = seed-1 outcome"
+            (o.Lowerbound.Attack.solo_nodes, o.Lowerbound.Attack.builder_steps)
+            j1)
 
 (* --state flat cannot checkpoint: an explicit ask for both is refused
    loudly (exit 1), never silently downgraded; the implicit default
@@ -448,6 +492,8 @@ let suite =
     Alcotest.test_case "fuzz progress exit code" `Quick
       test_fuzz_progress_exit_code;
     Alcotest.test_case "node budget truncation" `Quick test_budget_truncation;
+    Alcotest.test_case "attack --metrics work counters" `Quick
+      test_attack_metrics;
     Alcotest.test_case "mc --jobs=1 is the sequential search" `Quick
       test_jobs1_is_sequential;
     Alcotest.test_case "deadline terminates in time" `Quick

@@ -173,7 +173,7 @@ let test_clone_fingerprints () =
   let config = Protocol.initial_config p ~inputs in
   let b = Lowerbound.Builder.create ~config ~inputs in
   Lowerbound.Builder.step b ~pid:0 ();
-  let clone = Lowerbound.Builder.clone_of b ~pid:0 in
+  let clone = List.hd (Lowerbound.Builder.clones_of b ~pids:[ 0 ]) in
   let c = Lowerbound.Builder.config b in
   Alcotest.(check bool)
     "clone fp = origin fp" true

@@ -96,7 +96,10 @@ let test_pure_fast_equivalent =
 
 let test_add_proc () =
   let config = tiny_config [ 1; 2 ] in
-  let config', pid = Config.add_proc config (tiny_code ~pid:0 ~input:7) in
+  let config', pid =
+    Config.add_procs config
+      [ (tiny_code ~pid:0 ~input:7, Fingerprint.initial) ]
+  in
   Alcotest.(check int) "new pid" 2 pid;
   Alcotest.(check int) "grown" 3 (Config.n_procs config');
   Alcotest.(check int) "original untouched" 2 (Config.n_procs config);
