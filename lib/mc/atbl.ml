@@ -49,14 +49,21 @@ type t = {
 
 let fib = 0x1E3779B97F4A7C15
 
-let create ?(bits = 10) ?arenas ~width () =
-  let cap = 1 lsl bits in
+(* The index starts at 2^4 pairs and doubles at 50% load.  Most
+   searches are tiny (the E12 census, valency probes, CEGIS checks), so
+   the start size is their whole table, and it must stay under the minor
+   heap's 256-word limit: a larger array is allocated in the major heap
+   on every search, and once more per stripe of the parallel checker. *)
+let start_bits = 4
+
+let create ?arenas ~width () =
+  let cap = 1 lsl start_bits in
   {
     width;
     arenas = (match arenas with Some a -> a | None -> [| arena ~width 0 |]);
     idx = Array.make (2 * cap) (-1);
     mask = cap - 1;
-    shift = 63 - bits;
+    shift = 63 - start_bits;
     size = 0;
   }
 

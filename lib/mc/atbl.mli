@@ -14,9 +14,10 @@ val arena : width:int -> int -> arena
 
 type t
 
-val create : ?bits:int -> ?arenas:arena array -> width:int -> unit -> t
-(** An empty table for keys of [width] slots, with an index of [2^bits]
-    slots (default 10) to start.  [arenas] defaults to one fresh arena. *)
+val create : ?arenas:arena array -> width:int -> unit -> t
+(** An empty table for keys of [width] slots.  Its index starts at 16
+    slots and doubles at half load, so a tiny search's table stays in
+    the minor heap.  [arenas] defaults to one fresh arena. *)
 
 val find : t -> hash:int -> int array -> int
 (** The offset of the entry whose key equals the given one, or [-1].

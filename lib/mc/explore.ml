@@ -597,66 +597,101 @@ let search ?obs ?budget ?(dedup = `Off) ?(max_depth = 60)
   Obs.add obs "budget/polls" !polls;
   record_result obs r
 
-(* First terminating solo decision of [pid], searching coin outcomes.
-   Cheap probe used to seed [decidable_values]: a solo run that decides
-   witnesses a reachable decision without touching the full tree. *)
-let solo_decision ?(max_steps = 300) ?(max_nodes = 5_000) config ~pid =
+(* --- reachable decisions, on the flat slab ----------------------------- *)
+
+(* First terminating solo decision of [pid] from the slab's current
+   configuration, trying coin outcomes in order.  Steps in place and
+   undoes every step, so the slab is unchanged on return; [nodes] counts
+   across all outcome branches, as [max_nodes] bounds the whole probe.
+   Like [Run.step], it ignores crash flags. *)
+let flat_solo flat ~pid ~max_steps ~max_nodes =
+  let rt = Flat.rt flat in
   let nodes = ref 0 in
-  let rec go config steps =
+  let rec go steps =
     incr nodes;
     if !nodes > max_nodes || steps > max_steps then None
     else
-      match Config.decision config pid with
-      | Some v -> Some v
-      | None -> (
-          match config.Config.procs.(pid) with
-          | Proc.Decide _ -> assert false
-          | Proc.Apply _ ->
-              go (Run.step_quiet config ~pid ~coin:(fun _ -> 0)) (steps + 1)
-          | Proc.Choose { n; _ } ->
-              let rec try_outcome o =
-                if o >= n then None
-                else
-                  let config' = Run.step_quiet config ~pid ~coin:(fun _ -> o) in
-                  match go config' (steps + 1) with
-                  | Some _ as found -> found
-                  | None -> try_outcome (o + 1)
-              in
-              try_outcome 0)
+      let sid0 = Flat.sid flat pid in
+      let code = Intern.code rt sid0 in
+      let tag = code land 3 in
+      if tag = Intern.tag_decided then Intern.decision rt sid0
+      else if tag = Intern.tag_apply then begin
+        let obj = code lsr 2 in
+        let vid0 = Flat.obj_vid flat obj in
+        let packed = Intern.apply_packed rt ~sid:sid0 ~vid:vid0 in
+        Flat.write_obj flat obj (Intern.vid_of packed);
+        Flat.write_sid flat pid (Intern.sid_of packed);
+        let found = go (steps + 1) in
+        Flat.write_sid flat pid sid0;
+        Flat.write_obj flat obj vid0;
+        found
+      end
+      else begin
+        let found = ref None and outcome = ref 0 in
+        while Option.is_none !found && !outcome < code lsr 2 do
+          Flat.write_sid flat pid (Intern.choose rt ~sid:sid0 ~outcome:!outcome);
+          found := go (steps + 1);
+          Flat.write_sid flat pid sid0;
+          incr outcome
+        done;
+        !found
+      end
   in
-  go config 0
+  go 0
 
-(** All values decided in some execution reachable from [config] (within the
-    exploration budget).  The second component tells whether the set is
-    exhaustive ([false]) or may be an under-approximation ([true]).
-    Seeded with per-process solo probes, so distinct solo decisions are
-    found without exhausting the budget in one corner of the tree. *)
+let solo_decision ?(max_steps = 300) ?(max_nodes = 5_000) config ~pid =
+  let flat = Flat.of_config ~hashed:false ~roots:Flat.Per_slot config in
+  flat_solo flat ~pid ~max_steps ~max_nodes
+
+(* The DFS steps one slab in place and undoes each step, in [Run.step]
+   order over the persistent configurations (pids ascending, coin
+   outcomes ascending).  Every entered node counts against [max_states],
+   and a node past either cap marks the result truncated without being
+   expanded.  Nothing is deduplicated, so [(values, truncated)] equals a
+   closure-configuration DFS's bit for bit; [test/test_decidable.ml]
+   keeps that DFS as the referee. *)
 let decidable_values ?(max_depth = 60) ?(max_states = 2_000_000) config =
+  let flat = Flat.of_config ~hashed:false ~roots:Flat.Per_slot config in
+  let rt = Flat.rt flat in
+  let n_procs = Flat.n_procs flat in
   let visited = ref 0 in
   let truncated = ref false in
   let values = ref [] in
   let add v = if not (List.mem v !values) then values := v :: !values in
   (* decisions already present count, and each enabled process's solo
      probe contributes a cheap reachable-decision witness *)
-  List.iter add (Config.decisions config);
-  Config.iter_enabled config (fun pid ->
-      match solo_decision config ~pid with Some v -> add v | None -> ());
-  let rec go config depth =
+  List.iter add (Flat.decisions flat);
+  for pid = 0 to n_procs - 1 do
+    if Flat.is_enabled flat pid then
+      Option.iter add (flat_solo flat ~pid ~max_steps:300 ~max_nodes:5_000)
+  done;
+  let rec go depth =
     incr visited;
     if !visited > max_states || depth >= max_depth then truncated := true
     else
-      Config.iter_enabled config (fun pid ->
-          match config.Config.procs.(pid) with
-          | Proc.Decide _ -> assert false
-          | Proc.Apply _ -> visit config depth pid 0
-          | Proc.Choose { n; _ } ->
-              for outcome = 0 to n - 1 do
-                visit config depth pid outcome
-              done)
-  and visit config depth pid outcome =
-    let config' = Run.step_quiet config ~pid ~coin:(fun _ -> outcome) in
-    (match Config.decision config' pid with Some v -> add v | None -> ());
-    go config' (depth + 1)
+      for pid = 0 to n_procs - 1 do
+        if Flat.is_enabled flat pid then begin
+          let sid0 = Flat.sid flat pid in
+          let code = Intern.code rt sid0 in
+          if code land 3 = Intern.tag_apply then begin
+            let obj = code lsr 2 in
+            let vid0 = Flat.obj_vid flat obj in
+            let packed = Intern.apply_packed rt ~sid:sid0 ~vid:vid0 in
+            Flat.write_obj flat obj (Intern.vid_of packed);
+            enter depth pid sid0 (Intern.sid_of packed);
+            Flat.write_obj flat obj vid0
+          end
+          else
+            for outcome = 0 to (code lsr 2) - 1 do
+              enter depth pid sid0 (Intern.choose rt ~sid:sid0 ~outcome)
+            done
+        end
+      done
+  and enter depth pid sid0 sid' =
+    Flat.write_sid flat pid sid';
+    Option.iter add (Intern.decision rt sid');
+    go (depth + 1);
+    Flat.write_sid flat pid sid0
   in
-  go config 0;
+  go 0;
   (List.sort compare !values, !truncated)

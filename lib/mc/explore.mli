@@ -118,12 +118,16 @@ val witness :
   'a Config.t -> [ `Inconsistent | `Invalid ] -> (int * int) list -> 'a violation
 
 (** First terminating solo decision of [pid], searching coin outcomes — a
-    cheap witness of a reachable decision. *)
+    cheap witness of a reachable decision.  Runs on a flat slab
+    ([Sim.Flat]) of [config]; like [Run.step], ignores crash flags. *)
 val solo_decision :
   ?max_steps:int -> ?max_nodes:int -> 'a Config.t -> pid:int -> 'a option
 
 (** All values decided in some reachable execution, and whether the set may
     be an under-approximation (budget hit).  Seeded with per-process solo
-    probes. *)
+    probes.  A dedup-free DFS that steps one flat slab in place and undoes
+    each step; every entered node counts against [max_states], so the
+    result equals a DFS over [Run.step]'s persistent configurations bit
+    for bit, caps included. *)
 val decidable_values :
   ?max_depth:int -> ?max_states:int -> 'a Config.t -> 'a list * bool

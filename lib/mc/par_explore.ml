@@ -629,7 +629,7 @@ let search_shared ?obs ~pool ?budget ~dedup ~max_depth ~max_states ~inputs
            else
              let arenas = Array.init jobs (Atbl.arena ~width) in
              Array.init n_stripes (fun _ ->
-                 (Mutex.create (), Atbl.create ~bits:8 ~arenas ~width ())));
+                 (Mutex.create (), Atbl.create ~arenas ~width ())));
         signal = Array.init jobs (fun _ -> Atomic.make idle);
         mail = Array.init jobs (fun _ -> Atomic.make Pending);
         active = Atomic.make 1;

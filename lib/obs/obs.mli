@@ -23,7 +23,7 @@
 module Metrics : sig
   (** A named-metric accumulator: monotonic counters, high-water marks and
       float histograms, each keyed by a slash-separated name such as
-      ["mc/nodes_visited"].  Not thread-safe — one accumulator per
+      ["mc/visited"].  Not thread-safe — one accumulator per
       domain, merged with {!merge_into} after the barrier. *)
   type t
 

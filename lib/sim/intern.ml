@@ -91,15 +91,13 @@ module Itbl = struct
 
   let fib = 0x1E3779B97F4A7C15 (* odd: golden ratio mod 2^63 *)
 
-  let create cap =
-    let bits = ref 4 in
-    while 1 lsl !bits < cap do incr bits done;
-    let cap = 1 lsl !bits in
+  (* 16 slots to start; [add] doubles at 50% load *)
+  let create () =
     {
-      keys = Array.make cap (-1);
-      vals = Array.make cap 0;
-      mask = cap - 1;
-      shift = 63 - !bits;
+      keys = Array.make 16 (-1);
+      vals = Array.make 16 0;
+      mask = 15;
+      shift = 63 - 4;
       size = 0;
     }
 
@@ -178,21 +176,30 @@ type 'a t = {
       (** out-parameter of [apply]: the post-step object value id *)
 }
 
+(* Every table starts at a handful of slots and doubles on demand.  The
+   model checker creates one intern table per search, and the E12 census
+   and the valency probes run tens of thousands of searches that force a
+   few dozen states each.  An array above the minor heap's 256-word limit
+   is allocated straight in the major heap, so a large start would cost
+   those searches more than their nodes do; deep sweeps pay a few extra
+   doublings, amortized to nothing. *)
+let start_slots = 8
+
 let create ~optypes =
   {
     optypes;
-    val_ids = Vtbl.create 256;
-    values = Array.make 64 Value.Unit;
+    val_ids = Vtbl.create start_slots;
+    values = Array.make start_slots Value.Unit;
     n_values = 0;
-    st_code = Array.make 64 (tag_decided lor 0);
-    st_fp = Array.make 64 0;
-    st_proc = Array.make 64 None;
-    st_dec = Array.make 64 None;
-    st_link = Array.make 64 (-1);
+    st_code = Array.make start_slots (tag_decided lor 0);
+    st_fp = Array.make start_slots 0;
+    st_proc = Array.make start_slots None;
+    st_dec = Array.make start_slots None;
+    st_link = Array.make start_slots (-1);
     n_states = 0;
-    roots = Hashtbl.create 16;
-    succ = Itbl.create 1024;
-    apply_memo = Itbl.create 1024;
+    roots = Hashtbl.create start_slots;
+    succ = Itbl.create ();
+    apply_memo = Itbl.create ();
     last_vid = 0;
   }
 
